@@ -78,7 +78,10 @@ def law_from_config(config: dict) -> EnvironmentLaw:
 
 
 def validate(config: dict, command: str | None = None) -> list[str]:
-    """Schema and cross-field diagnostics; never runs a solver."""
+    """Schema and cross-field diagnostics; never runs a solver.
+
+    Checks the section of `command`, which must be present, or every
+    section the config contains when `command` is None."""
     bad: list[str] = []
     d = config.get("dimension")
     if not isinstance(d, int) or d < 3:
@@ -97,8 +100,9 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 law.validate(lam)
         except (KeyError, ValueError) as exc:
             bad.append(f"law: {exc}")
-    sections = [command] if command and command in config else []
-    for name in sections:
+    if command is not None and command not in config:
+        bad.append(f"config has no {command!r} section")
+    for name in [n for n in config if command in (None, n)]:
         sec = config[name]
         if name in ("homogenize", "disconnect", "repulsion"):
             try:
@@ -131,6 +135,13 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                         f" must exceed ell_min = {sy.ell_min_value}")
             except (KeyError, ValueError) as exc:
                 bad.append(f"scales: {exc}")
+        if name == "percolation" and "classify" in sec:
+            ksec = sec["classify"]
+            try:
+                BoxCollection(L=int(ksec["L"]), K=int(ksec["K"]),
+                              centers=tuple(tuple(c) for c in ksec["centers"]))
+            except (KeyError, TypeError, ValueError) as exc:
+                bad.append(f"percolation.classify: {exc}")
     return bad
 
 

@@ -18,8 +18,8 @@ from .lattice import blow_up, box_sites, linf_box, linf_sphere
 from .environment import Conductances, EnvironmentLaw, environment_for_sites, sample_environment
 from .potential import DirichletOperator, SolverError, dirichlet_form, harmonic_potential
 from .gff import sample_matrix, tilt_log_weights
-from .percolation import _nn_structure
-from .streams import stream
+from .percolation import _seed_clusters
+from .streams import binomial_se, stream
 
 
 # ---------------------------------------------------------------------------
@@ -396,12 +396,9 @@ class _DisconnectionInstance:
             raise ValueError("killing region B_N escapes the sample box")
         self.op = DirichletOperator(self.env, self.domain)
         lo, hi = self.domain.bounding_box()
-        self._lo = lo
         self._shape = tuple(hi - lo + 1)
-        self._seed_mask = np.zeros(self._shape, dtype=bool)
-        self._seed_mask[tuple((self.A_N.coords - lo).T)] = True
-        self._target_mask = np.zeros(self._shape, dtype=bool)
-        self._target_mask[tuple((self.S_N.coords - lo).T)] = True
+        self._seed = tuple((self.A_N.coords - lo).T)
+        self._target = (slice(None),) + tuple((self.S_N.coords - lo).T)
 
     def tilt_function(self, strength: float, delta_shell: float, A_shape) -> np.ndarray:
         Ad = A_shape.inflate(delta_shell) if delta_shell > 0 else A_shape
@@ -416,25 +413,8 @@ class _DisconnectionInstance:
 
     def disconnected(self, fields: np.ndarray, alpha: float) -> np.ndarray:
         """Bool per column: no level-set path from A_N to the shell."""
-        from scipy import ndimage
-        k = fields.shape[1]
-        grid = fields.T.reshape((k,) + self._shape)
-        mask = grid >= alpha
-        struct = _nn_structure(len(self._shape))
-        out = np.zeros(k, dtype=bool)
-        for j in range(k):
-            labels, n = ndimage.label(mask[j], structure=struct)
-            if n == 0:
-                out[j] = True
-                continue
-            a = np.unique(labels[self._seed_mask & mask[j]])
-            b = np.unique(labels[self._target_mask & mask[j]])
-            out[j] = np.intersect1d(a, b).size == 0
-        return out
-
-
-def _frequency_se(p: float, n: int) -> float:
-    return math.sqrt(max(p * (1.0 - p), 1e-300) / n)
+        mask = (fields >= alpha).T.reshape((fields.shape[1],) + self._shape)
+        return ~_seed_clusters(mask, self._seed)[self._target].any(axis=1)
 
 
 def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
@@ -464,7 +444,7 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
         hits += int(inst.disconnected(block, alpha).sum())
         done += k
     p_direct = hits / direct_replicas
-    se_direct = _frequency_se(p_direct, direct_replicas)
+    se_direct = binomial_se(p_direct, direct_replicas)
 
     ladder_eps = list(eps_ladder) if eps_ladder is not None else [epsilon]
     if epsilon not in ladder_eps:
@@ -495,7 +475,7 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
         is_se = math.sqrt(max(w2sum / n - is_est ** 2, 0.0) / n)
         freq = hits_t / n
         ess = wsum ** 2 / w2sum if w2sum > 0 else 0.0
-        point = LadderPoint(float(eps), freq, _frequency_se(freq, n),
+        point = LadderPoint(float(eps), freq, binomial_se(freq, n),
                             is_est, is_se, ess, H)
         ladder.append(point)
         if eps == epsilon:

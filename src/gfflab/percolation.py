@@ -3,6 +3,14 @@ estimators, good/bad box classification, and the decoupling harness.
 
 Connectivity is always nearest-neighbor (|x-y|_1 = 1); diagonal sites do
 not touch. Component diameters are l-infinity diameters of the site set.
+
+One kernel, `_seed_clusters`, answers every replica-parallel level-set
+question: over a (k,)+box boolean block it returns the sites whose
+cluster touches a seed set. Crossing events, the two-point function and
+the disconnection event of `homogenization` are one reduction of its
+output each. `components()` labels a level set of any SiteSet on the
+grid of its bounding box, which serves `is_connected` and the box
+classification.
 """
 
 from __future__ import annotations
@@ -11,9 +19,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 from scipy import ndimage
-from scipy.sparse.csgraph import connected_components
 from scipy.stats import norm
 
 from .lattice import SiteSet, as_coords, ball, linf_sphere
@@ -24,7 +30,7 @@ from .potential import (
     harmonic_extension,
 )
 from .gff import FieldSample, BoxCollection, decompose_matrix, sample_matrix
-from .streams import stream
+from .streams import binomial_se, stream
 
 
 @dataclass
@@ -59,43 +65,30 @@ class ComponentLabeling:
 
 
 def components(S: LevelSet) -> ComponentLabeling:
-    """Union of nearest-neighbor clusters of the level set."""
+    """Union of nearest-neighbor clusters of the level set, labelled on
+    the grid of the set's bounding box."""
     dom = S.domain
-    n = len(dom)
+    label = -np.ones(len(dom), dtype=np.int64)
     in_idx = np.nonzero(S.mask)[0]
     if in_idx.size == 0:
-        return ComponentLabeling(dom, -np.ones(n, dtype=np.int64), {}, {})
-    sub = SiteSet(dom.coords[in_idx], dom.d)
-    rows, cols = [], []
-    for a in range(dom.d):
-        step = np.zeros(dom.d, dtype=np.int64)
-        step[a] = 1
-        j = sub.locate(sub.coords + step)
-        mask = j >= 0
-        i = np.nonzero(mask)[0]
-        rows.extend([i, j[mask]])
-        cols.extend([j[mask], i])
-    m = len(sub)
-    if rows:
-        graph = sp.coo_matrix(
-            (np.ones(sum(len(r) for r in rows)),
-             (np.concatenate(rows), np.concatenate(cols))),
-            shape=(m, m),
-        )
-    else:
-        graph = sp.coo_matrix((m, m))
-    _, raw = connected_components(graph, directed=False)
-    label = -np.ones(n, dtype=np.int64)
-    sizes: dict = {}
-    diameters: dict = {}
-    for comp in np.unique(raw):
-        members = in_idx[raw == comp]
-        canon = int(members.min())
-        label[members] = canon
-        sizes[canon] = int(members.size)
-        pts = dom.coords[members]
-        diameters[canon] = int((pts.max(axis=0) - pts.min(axis=0)).max())
-    return ComponentLabeling(dom, label, sizes, diameters)
+        return ComponentLabeling(dom, label, {}, {})
+    pts = dom.coords[in_idx]
+    lo = pts.min(axis=0)
+    pos = tuple((pts - lo).T)
+    grid = np.zeros(tuple(pts.max(axis=0) - lo + 1), dtype=bool)
+    grid[pos] = True
+    labels, _ = ndimage.label(grid)
+    raw = labels[pos]
+    # in_idx ascends, so a label's first occurrence is its smallest index
+    _, first = np.unique(raw, return_index=True)
+    canon = in_idx[first]
+    label[in_idx] = canon[raw - 1]
+    sizes = np.bincount(raw)[1:]
+    diams = [max(sl.stop - sl.start for sl in box) - 1
+             for box in ndimage.find_objects(labels)]
+    return ComponentLabeling(dom, label,
+                             dict(zip(canon.tolist(), sizes.tolist())),
+                             dict(zip(canon.tolist(), diams)))
 
 
 def is_connected(H: SiteSet, K: SiteSet, S: LevelSet,
@@ -122,48 +115,22 @@ def disconnection_event(phi: FieldSample, alpha: float, A_N: SiteSet,
 
 
 # ---------------------------------------------------------------------------
-# Batched grid connectivity (replica-parallel Monte Carlo kernels)
+# Replica-parallel level-set connectivity kernel
 
 
-_GRID_STRUCTURES: dict[int, np.ndarray] = {}
-
-
-def _nn_structure(d: int) -> np.ndarray:
-    if d not in _GRID_STRUCTURES:
-        _GRID_STRUCTURES[d] = ndimage.generate_binary_structure(d, 1)
-    return _GRID_STRUCTURES[d]
-
-
-def grid_levelset_connected(mask: np.ndarray, seed_mask: np.ndarray,
-                            target_mask: np.ndarray) -> bool:
-    """One grid sample: does a nearest-neighbor path inside `mask` join
-    the seed sites to the target sites?"""
-    labels, n = ndimage.label(mask, structure=_nn_structure(mask.ndim))
-    if n == 0:
-        return False
-    a = np.unique(labels[seed_mask & mask])
-    b = np.unique(labels[target_mask & mask])
-    return bool(np.intersect1d(a, b).size > 0)
-
-
-def crossing_events_batch(fields: np.ndarray, domain: SiteSet, alphas,
-                          inner: SiteSet, target: SiteSet) -> np.ndarray:
-    """For an (n, k) sample block on a full-box domain: bool array
-    (n_alpha, k) of {inner <-> target within the level set}."""
-    lo, hi = domain.bounding_box()
-    shape = tuple(hi - lo + 1)
-    k = fields.shape[1]
-    grid = fields.T.reshape((k,) + shape)
-    seed = np.zeros(shape, dtype=bool)
-    seed[tuple((inner.coords - lo).T)] = True
-    tgt = np.zeros(shape, dtype=bool)
-    tgt[tuple((target.coords - lo).T)] = True
-    out = np.zeros((len(alphas), k), dtype=bool)
-    for ia, alpha in enumerate(alphas):
-        mask = grid >= alpha
-        for j in range(k):
-            out[ia, j] = grid_levelset_connected(mask[j], seed, tgt)
-    return out
+def _seed_clusters(mask: np.ndarray, seed) -> np.ndarray:
+    """Sites of a (k,)+box boolean block whose nearest-neighbor cluster,
+    within their own replica, contains a seed site; `seed` is an index
+    tuple into one replica's box. The answer overwrites `mask`, which is
+    returned, so a block costs no second copy. ndimage.label's default
+    structure is the nearest-neighbor cross."""
+    for j in range(mask.shape[0]):
+        labels, n = ndimage.label(mask[j])
+        touch = np.zeros(n + 1, dtype=bool)
+        touch[labels[seed]] = True
+        touch[0] = False
+        mask[j] = touch[labels]
+    return mask
 
 
 # ---------------------------------------------------------------------------
@@ -196,9 +163,9 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
 
     Scalar (alpha, L) gives a single estimate. Passing grids for both
     runs a coupled sweep (one Gaussian sample serves every alpha) and
-    reports the smallest grid alpha whose crossing probability decreases
-    across all tested L; that value is an estimator tied to this grid,
-    never a certified constant.
+    reports the smallest grid alpha whose crossing probability strictly
+    decreases across all tested L; that value is an estimator tied to
+    this grid, never a certified constant.
     """
     sweep = np.ndim(alpha) > 0 or np.ndim(L) > 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
@@ -210,8 +177,11 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         domain = ball(x, 2 * Lv + padding, env.d)
         if not domain.issubset(env.window):
             raise ValueError("insufficient environment padding for the crossing event")
-        inner = ball(x, Lv, env.d)
-        target = linf_sphere(2 * Lv, env.d, center=x)
+        lo, hi = domain.bounding_box()
+        shape = tuple(hi - lo + 1)
+        inner = tuple((ball(x, Lv, env.d).coords - lo).T)
+        target = (slice(None),) + tuple(
+            (linf_sphere(2 * Lv, env.d, center=x).coords - lo).T)
         op = DirichletOperator(env, domain)
         rng = stream(seed, "crossing", Lv)
         hits = np.zeros(len(alphas), dtype=np.int64)
@@ -219,13 +189,14 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         while done < replicas:
             k = min(chunk, replicas - done)
             block = sample_matrix(env, domain, k, rng, op=op)
-            ev = crossing_events_batch(block, domain, alphas, inner, target)
-            hits += ev.sum(axis=1)
+            for ia, av in enumerate(alphas):
+                mask = (block >= av).T.reshape((k,) + shape)
+                hits[ia] += _seed_clusters(mask, inner)[target].any(axis=1).sum()
             done += k
         for ia, av in enumerate(alphas):
             p = hits[ia] / replicas
-            se = math.sqrt(max(p * (1 - p), 1e-300) / replicas)
-            results.append(CrossingEstimate(float(av), Lv, float(p), se,
+            results.append(CrossingEstimate(float(av), Lv, float(p),
+                                            binomial_se(p, replicas),
                                             replicas, seed))
     if not sweep:
         return results[0]
@@ -234,7 +205,7 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         for av in alphas:
             vals = [r.estimate for r in results if r.alpha == av]
             vals = [v for _, v in sorted(zip(Ls, vals))]
-            if all(vals[i + 1] <= vals[i] for i in range(len(vals) - 1)):
+            if all(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
                 est = float(av)
                 break
     return CrossingSweep(results, [float(a) for a in alphas],
@@ -274,26 +245,19 @@ def connectivity_function(env: Conductances, alpha: float, x, z_list, L: int,
     shape = tuple(hi - lo + 1)
     hits = np.zeros(len(zs), dtype=np.int64)
     x_idx = tuple(x - lo)
+    z_idx = (slice(None),) + tuple((np.array(zs) + x - lo).T)
     done = 0
     while done < replicas:
         k = min(chunk, replicas - done)
         block = sample_matrix(env, domain, k, rng, op=op)
-        grid = block.T.reshape((k,) + shape)
-        mask = grid >= alpha
-        for j in range(k):
-            labels, n = ndimage.label(mask[j], structure=_nn_structure(len(shape)))
-            at_x = labels[x_idx]
-            if at_x == 0:
-                continue
-            for iz, z in enumerate(zs):
-                if labels[tuple(x + z - lo)] == at_x:
-                    hits[iz] += 1
+        mask = (block >= alpha).T.reshape((k,) + shape)
+        hits += _seed_clusters(mask, x_idx)[z_idx].sum(axis=0)
         done += k
     ests = []
     for iz, z in enumerate(zs):
         p = hits[iz] / replicas
-        se = math.sqrt(max(p * (1 - p), 1e-300) / replicas)
-        ests.append(ConnectivityEstimate(tuple(int(v) for v in z), float(p), se))
+        ests.append(ConnectivityEstimate(tuple(int(v) for v in z), float(p),
+                                         binomial_se(p, replicas)))
     rate = None
     pos = [(np.abs(np.asarray(e.z)).max(), e.estimate) for e in ests
            if e.estimate > 0 and np.abs(np.asarray(e.z)).max() > 0]
@@ -473,7 +437,7 @@ def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
     p2m, p2p = n2m / replicas, n2p / replicas
 
     def se(p):
-        return math.sqrt(max(p * (1 - p), 1e-300) / replicas)
+        return binomial_se(p, replicas)
 
     # exact law of the harmonic average on K2 sourced by K1
     U1c = domain.difference(K1)
@@ -484,15 +448,13 @@ def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
     for j in range(len(K1)):
         col = green_killed(env, domain, "column", y=K1.coords[j], op=op)
         G[:, j] = col[domain.locate(K1.coords)]
-    cov = H @ G @ H.T
     if len(K1) == 1:
-        sd = math.sqrt(max(cov.max(), 0.0))
         sup_scale = float(np.abs(H).max()) * math.sqrt(max(G[0, 0], 0.0))
         p_bad = 2.0 * norm.sf(delta / 2.0 / sup_scale) if sup_scale > 0 else 0.0
         method = "exact-single-site"
     else:
         grs = stream(seed, "decoupling-gauss")
-        w, V = np.linalg.eigh(cov)
+        w, V = np.linalg.eigh(H @ G @ H.T)
         root = V @ np.diag(np.sqrt(np.clip(w, 0.0, None)))
         draws = root @ grs.standard_normal((len(K2), 200_000))
         p_bad = float((np.abs(draws).max(axis=0) > delta / 2.0).mean())

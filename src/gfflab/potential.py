@@ -27,6 +27,7 @@ from scipy.linalg import cholesky_banded, lapack
 
 from .lattice import SiteSet, as_coords, ball
 from .environment import Conductances
+from .streams import binomial_se
 
 DEFAULT_FACTOR_LIMIT = 160_000
 DEFAULT_BANDED_LIMIT = 200_000_000  # stored band entries
@@ -106,8 +107,7 @@ class DirichletOperator:
             raise ValueError("right-hand side has wrong length")
         self.solve_count += 1
         if self.backend == "splu":
-            out = self._get_lu().solve(rhs if not single else rhs)
-            return out
+            return self._get_lu().solve(rhs)
         block = rhs[:, None] if single else rhs
         inv_diag = 1.0 / self.matrix.diagonal()
         precond = spla.LinearOperator((self.n, self.n), matvec=lambda v: inv_diag * v)
@@ -596,5 +596,4 @@ def hitting_frequency(env: Conductances, start, target: SiteSet,
     else:
         raise SolverError("batched walk exceeded the step budget")
     freq = hit.mean()
-    se = math.sqrt(max(freq * (1.0 - freq), 1e-300) / replicas)
-    return float(freq), se
+    return float(freq), binomial_se(freq, replicas)

@@ -10,11 +10,14 @@ Two kinds of randomness are used throughout the package:
   derived from a master seed plus a tuple of labels through
   ``SeedSequence`` spawn keys, so replicas are independent and the
   consumption order of one stream cannot affect another.
+
+`binomial_se` is the standard error every Monte Carlo frequency reports.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 
 import numpy as np
 
@@ -71,3 +74,9 @@ def stream(seed: int, *labels) -> np.random.Generator:
         key = key + _label_words(lab)
     ss = np.random.SeedSequence(entropy=int(seed) & (2 ** 64 - 1), spawn_key=key)
     return np.random.default_rng(ss)
+
+
+def binomial_se(p: float, n: int) -> float:
+    """Standard error sqrt(p(1-p)/n) of a frequency p over n replicas,
+    floored above zero so that p in {0, 1} still reports a positive SE."""
+    return math.sqrt(max(p * (1.0 - p), 1e-300) / n)

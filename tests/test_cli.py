@@ -147,3 +147,40 @@ def test_seed_override_changes_outputs(tmp_path):
                  "--seed-override", "43"]) == 0
     assert (tmp_path / "c" / "fields.bin").read_bytes() != \
         (tmp_path / "d" / "fields.bin").read_bytes()
+
+
+def _adjacent_classify(cfg):
+    cfg["law"] = {"kind": "iid_uniform", "low": 0.5, "high": 1.0}
+    cfg["percolation"] = {
+        "L_grid": [1], "alpha_grid": [0.0], "replicas": 8, "padding": 2,
+        "classify": {"L": 4, "K": 5, "centers": [[0, 0, 0], [4, 0, 0]],
+                     "gamma": 0.5, "delta": 0.0, "a": 1.0},
+    }
+    return cfg
+
+
+def test_validate_command_checks_every_section(tmp_path, capsys):
+    cfg = _adjacent_classify(_base(tmp_path))
+    cfg["homogenize"] = {
+        "A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 3.0},
+        "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
+        "N_list": [4],
+    }
+    main(["validate", "--config", _write(tmp_path, cfg)])
+    lines = capsys.readouterr().out.splitlines()
+    assert any("escapes B" in s for s in lines)
+    assert any("percolation.classify" in s and "separation" in s for s in lines)
+    assert lines[-1] == "2 issue(s)"
+
+
+def test_unseparated_classify_grid_fails_before_running(tmp_path):
+    cfg = _adjacent_classify(_base(tmp_path))
+    assert main(["percolation", "--config", _write(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "run1").exists()
+
+
+def test_missing_command_section_exit_code(tmp_path):
+    cfg = _base(tmp_path)
+    assert any("'gff'" in s for s in validate(cfg, "gff"))
+    assert main(["gff", "--config", _write(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "run1").exists()

@@ -7,6 +7,7 @@ from gfflab.gff import BoxCollection, FieldSample, sample_gff
 from gfflab.lattice import SiteSet, ball, box_sites, linf_sphere
 from gfflab.percolation import (
     LevelSet,
+    _seed_clusters,
     classify_boxes,
     components,
     connectivity_function,
@@ -82,6 +83,69 @@ def test_is_connected_conventions():
     assert not is_connected(a, c, S2)
 
 
+def _bfs_clusters(sites):
+    """Oracle: nearest-neighbor clusters of a set of site tuples, by BFS."""
+    left = set(sites)
+    clusters = []
+    while left:
+        start = left.pop()
+        cluster, todo = {start}, [start]
+        while todo:
+            x = todo.pop()
+            for a in range(len(x)):
+                for sgn in (1, -1):
+                    y = x[:a] + (x[a] + sgn,) + x[a + 1:]
+                    if y in left:
+                        left.remove(y)
+                        cluster.add(y)
+                        todo.append(y)
+        clusters.append(cluster)
+    return clusters
+
+
+def test_connectivity_kernels_match_bfs_oracle():
+    rng = np.random.default_rng(2024)
+    shape = (6, 5, 7)
+    box = [tuple(int(v) for v in x) for x in np.ndindex(*shape)]
+    # non-box domain: the box with holes, plus sites that touch it only
+    # diagonally or sit apart
+    keep = [x for x in box if rng.random() > 0.15]
+    extra = [(-1, -1, 0), (6, 5, 3), (-1, 2, -1), (9, 9, 9), (10, 9, 9)]
+    dom = SiteSet(keep + extra)
+    for alpha in (-0.6, 0.0, 0.3, 0.8):
+        # replica-parallel kernel on a full box
+        mask = rng.standard_normal((4,) + shape) >= alpha
+        seed = tuple(rng.integers(0, n, 3) for n in shape)
+        cl = _seed_clusters(mask.copy(), seed)
+        seeds = set(zip(*(s.tolist() for s in seed)))
+        for j in range(mask.shape[0]):
+            want = np.zeros(shape, dtype=bool)
+            for c in _bfs_clusters(x for x in box if mask[j][x]):
+                if c & seeds:
+                    want[tuple(np.array(sorted(c)).T)] = True
+            assert np.array_equal(cl[j], want)
+        # components() and is_connected on the non-box domain
+        S = level_set(_field(dom, rng.standard_normal(len(dom))), alpha)
+        lab = components(S)
+        want_label = -np.ones(len(dom), dtype=np.int64)
+        sizes, diams = {}, {}
+        for c in _bfs_clusters(map(tuple, S.sites.coords.tolist())):
+            pts = np.array(sorted(c))
+            idx = dom.locate(pts)
+            canon = int(idx.min())
+            want_label[idx] = canon
+            sizes[canon] = len(c)
+            diams[canon] = int((pts.max(axis=0) - pts.min(axis=0)).max())
+        assert np.array_equal(lab.label, want_label)
+        assert lab.sizes == sizes and lab.diameters == diams
+        for _ in range(5):
+            H = SiteSet(dom.coords[rng.choice(len(dom), 3, replace=False)])
+            K = SiteSet(dom.coords[rng.choice(len(dom), 3, replace=False)])
+            hl = set(want_label[dom.locate(H.coords)].tolist()) - {-1}
+            kl = set(want_label[dom.locate(K.coords)].tolist()) - {-1}
+            assert is_connected(H, K, S) == bool(hl & kl)
+
+
 def test_disconnection_event_cases():
     dom = ball([0, 0, 0], 3)
     A = SiteSet([[0, 0, 0]])
@@ -128,6 +192,14 @@ def test_crossing_sweep_reports_grid(env):
         assert sweep.alpha_double_star_estimate in sweep.alpha_grid
 
 
+def test_crossing_sweep_ties_are_not_a_decrease(env):
+    # every estimate is 1 at alpha = -50 and 0 at alpha = 50: nothing
+    # strictly decreases across L, so no grid alpha qualifies
+    sweep = crossing_probability(env, [-50.0, 50.0], [1, 2], [0, 0, 0], 50, seed=1)
+    assert [r.estimate for r in sweep.estimates] == [1.0, 0.0, 1.0, 0.0]
+    assert sweep.alpha_double_star_estimate is None
+
+
 def test_crossing_padding_guard(env):
     with pytest.raises(ValueError):
         crossing_probability(env, 0.0, 10, [0, 0, 0], 10, seed=1)
@@ -160,8 +232,8 @@ def test_classify_boxes_synthetic(env):
     # very high field: giant cluster at any level, xi stays near phi
     hi = _field(dom, np.full(len(dom), 10.0))
     cls = classify_boxes(envd, hi, grid, gamma=0.5, delta=0.25, a=1.0)
-    # harmonic average of a constant 10 is 10, so xi-good fails at a=1
-    assert cls.xi_good[(0, 0, 0)] is False or cls.xi_good[(0, 0, 0)] is True
+    # harmonic average of a constant 10 is 10 > -a, so xi-good holds
+    assert cls.xi_good[(0, 0, 0)] is True
     # psi of a constant field is ~0 everywhere: no cluster at gamma=0.5
     assert cls.psi_good[(0, 0, 0)] is False
     # zero field: xi == 0 > -a, psi == 0 fails the cluster condition
