@@ -39,7 +39,6 @@ from .homogenization import (
     disconnection_rate_experiment,
     estimate_diffusivity,
     eta_from_spec,
-    potential_pairing_convergence,
     repulsion_experiment,
 )
 from .streams import stream
@@ -77,6 +76,37 @@ def law_from_config(config: dict) -> EnvironmentLaw:
     raise ValueError(f"unknown law kind {kind!r}")
 
 
+# Keys each command reads without a default. A "sec.sub" row checks an
+# optional subsection when present; a "sec+key" row applies when sec has key.
+REQUIRED_KEYS = {
+    "env": ("window_lo", "window_hi"),
+    "potential": ("A_center", "A_radius", "B_center", "B_radius"),
+    "gff": ("radius", "count"),
+    "percolation": ("L_grid", "alpha_grid", "replicas"),
+    "percolation.connectivity": ("alpha", "z_list", "replicas"),
+    "percolation.classify": ("L", "K", "centers", "gamma", "delta", "a"),
+    "solidify": ("A_radius", "B_radius", "offset", "puncture_fractions"),
+    "homogenize": ("A", "B", "N_list"),
+    "homogenize.reference": ("shape", "sigma2"),
+    "homogenize.diffusivity": ("t_horizon", "replicas"),
+    "disconnect": ("A", "M", "alpha", "alpha_star_ref", "epsilon", "N",
+                   "direct_replicas", "tilted_replicas"),
+    "disconnect+eta": ("Delta",),
+}
+
+
+def _missing_keys(name: str, sec) -> list[str]:
+    bad = []
+    for path, keys in REQUIRED_KEYS.items():
+        head, _, sub = path.partition(".")
+        section, _, when = head.partition("+")
+        if section == name and (not when or when in sec) and (not sub or sub in sec):
+            missing = [k for k in keys if k not in (sec[sub] if sub else sec)]
+            if missing:
+                bad.append(f"{path}: missing key(s) {', '.join(missing)}")
+    return bad
+
+
 def validate(config: dict, command: str | None = None) -> list[str]:
     """Schema and cross-field diagnostics; never runs a solver.
 
@@ -104,6 +134,10 @@ def validate(config: dict, command: str | None = None) -> list[str]:
         bad.append(f"config has no {command!r} section")
     for name in [n for n in config if command in (None, n)]:
         sec = config[name]
+        missing = _missing_keys(name, sec)
+        if missing:
+            bad.extend(missing)
+            continue
         if name in ("homogenize", "disconnect", "repulsion"):
             try:
                 A = shape_from_spec(sec["A"])
@@ -160,9 +194,8 @@ def _fmt(v) -> str:
 
 
 class Runner:
-    def __init__(self, config: dict, out_dir: Path, threads: int = 1):
+    def __init__(self, config: dict, out_dir: Path):
         self.config = config
-        self.threads = max(1, int(threads))
         self.out = out_dir
         self.out.mkdir(parents=True, exist_ok=True)
         self.chash = config_hash(config)
@@ -297,17 +330,21 @@ class Runner:
 
     def run_homogenize(self) -> None:
         sec = self.config["homogenize"]
-        A = shape_from_spec(sec["A"])
-        B = shape_from_spec(sec["B"])
-        reference = None
-        if "reference" in sec:
-            ref = sec["reference"]
+        ref = sec.get("reference")
+        reference = oracle = None
+        if ref is not None:
             reference = continuum_capacity_reference(
                 ref["shape"], ref["sigma2"], self.d,
                 r=ref.get("r", 1.0), R=ref.get("R"))
-        sweep = capacity_scaling(self.law, self.lam, A, B, sec["N_list"],
-                                 self.seed, reference=reference,
-                                 threads=self.threads)
+        eta = eta_from_spec(sec["eta"]) if "eta" in sec else None
+        if eta is not None and ref is not None and ref["shape"] == "annulus":
+            oracle = annulus_pairing_quadrature(
+                ref.get("r", 1.0), ref["R"], eta,
+                step=sec.get("quadrature_step", 0.02))
+        sweep = capacity_scaling(self.law, self.lam, shape_from_spec(sec["A"]),
+                                 shape_from_spec(sec["B"]), sec["N_list"],
+                                 self.seed, reference=reference, eta=eta,
+                                 oracle=oracle)
         rows = [[r.N, r.scaled_capacity, r.solve_seconds, r.unknowns, r.backend]
                 for r in sweep.results]
         write_csv(self._record("capacity_scaling.csv"),
@@ -316,22 +353,13 @@ class Runner:
         out = {"cauchy_ok": sweep.cauchy_ok, "rel_changes": sweep.rel_changes,
                "reference": sweep.reference,
                "within_reference": sweep.within_reference}
-        if "eta" in sec:
-            eta = eta_from_spec(sec["eta"])
-            oracle = None
-            if "reference" in sec and sec["reference"]["shape"] == "annulus":
-                oracle = annulus_pairing_quadrature(
-                    sec["reference"]["r"], sec["reference"]["R"], eta,
-                    step=sec.get("quadrature_step", 0.02))
-            pair = potential_pairing_convergence(
-                self.law, self.lam, A, B, eta, sec["N_list"], self.seed,
-                oracle=oracle)
+        if eta is not None:
             write_csv(self._record("potential_pairing.csv"),
                       ["N", "pairing"],
-                      [[r.N, r.pairing] for r in pair.results], self.chash)
-            out["pairing_cauchy_ok"] = pair.cauchy_ok
-            out["pairing_oracle"] = pair.oracle
-            out["pairing_within_oracle"] = pair.within_oracle
+                      [[r.N, r.pairing] for r in sweep.results], self.chash)
+            out["pairing_cauchy_ok"] = sweep.pairing_cauchy_ok
+            out["pairing_oracle"] = sweep.oracle
+            out["pairing_within_oracle"] = sweep.within_oracle
         if "diffusivity" in sec:
             dsec = sec["diffusivity"]
             est = estimate_diffusivity(self.law, self.lam, dsec["t_horizon"],
@@ -410,7 +438,6 @@ def main(argv=None) -> int:
         p = sub.add_parser(name)
         p.add_argument("--config", required=True)
         p.add_argument("--seed-override", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
         p.add_argument("--out", default=None)
     args = parser.parse_args(argv)
 
@@ -428,14 +455,14 @@ def main(argv=None) -> int:
         for line in issues:
             print(line)
         print("ok" if not issues else f"{len(issues)} issue(s)")
-        return EXIT_OK
+        return EXIT_CONFIG if issues else EXIT_OK
     if issues:
         for line in issues:
             print(f"invalid config: {line}", file=sys.stderr)
         return EXIT_CONFIG
 
     out_dir = Path(args.out or config.get("out", "gfflab-out"))
-    runner = Runner(config, out_dir, threads=args.threads)
+    runner = Runner(config, out_dir)
     t0 = time.time()
     try:
         COMMANDS[args.command](runner)

@@ -2,6 +2,10 @@
 diffusivity, continuum references, and the tilted-measure disconnection
 and repulsion pipelines.
 
+Each Dirichlet problem is solved once: one potential h_{A_N,B_N} per
+scale gives both the capacity and the pairing <h, eta>, and one unit tilt
+profile serves every strength of a disconnection epsilon ladder.
+
 All "as N grows" statements are rendered as Cauchy/trend verdicts over a
 finite ladder of scales; nothing here certifies an asymptotic constant.
 """
@@ -16,7 +20,8 @@ import numpy as np
 
 from .lattice import blow_up, box_sites, linf_box, linf_sphere
 from .environment import Conductances, EnvironmentLaw, environment_for_sites, sample_environment
-from .potential import DirichletOperator, SolverError, dirichlet_form, harmonic_potential
+from .potential import (DirichletOperator, SolverError, _jump_distribution,
+                        _step_offsets, dirichlet_form, harmonic_potential)
 from .gff import sample_matrix, tilt_log_weights
 from .percolation import _seed_clusters
 from .streams import binomial_se, stream
@@ -96,6 +101,7 @@ class ScaleResult:
     solve_seconds: float
     unknowns: int
     backend: str
+    pairing: float | None = None
 
 
 @dataclass
@@ -106,21 +112,36 @@ class ScalingSweep:
     cauchy_ok: bool
     reference: float | None = None
     within_reference: bool | None = None
+    pairing_rel_changes: list | None = None
+    pairing_cauchy_ok: bool | None = None
+    oracle: float | None = None
+    within_oracle: bool | None = None
+
+
+def _cauchy(vals: list, factor: float) -> tuple[list, bool]:
+    """Relative changes along a ladder, and whether each one is at most
+    `factor` times the one before it."""
+    rel = [abs(vals[i + 1] - vals[i]) / max(abs(vals[i + 1]), 1e-300)
+           for i in range(len(vals) - 1)]
+    return rel, all(rel[i + 1] <= factor * rel[i] + 1e-12
+                    for i in range(len(rel) - 1))
 
 
 def capacity_scaling(law: EnvironmentLaw, lam: float, A, B, N_list, seed: int,
                      reference: float | None = None,
                      reference_rtol: float = 0.10,
                      cauchy_factor: float = 0.5,
-                     threads: int = 1) -> ScalingSweep:
+                     eta=None, oracle: float | None = None,
+                     oracle_rtol: float = 0.10) -> ScalingSweep:
     """N^(2-d) cap_{B_N}(A_N) along an N ladder over one keyed environment.
 
     The same seed keys every scale, so the sweep sees a single
     conductance realization viewed at all N (the statements being probed
-    are per-realization). Cauchy verdict: the last relative change drops
-    below `cauchy_factor` times the previous one. The per-N solves are
-    independent and run on a small worker pool when threads > 1; results
-    do not depend on the execution order.
+    are per-realization). Given a test function `eta`, the potential
+    h_{A_N,B_N} solved for the capacity also gives the Riemann pairing
+    N^(-d) sum_x h(x) eta(x/N), whose last value is held to `oracle`.
+    Cauchy verdict, for either series: each relative change is at most
+    `cauchy_factor` times the previous one.
     """
     N_list = [int(N) for N in N_list]
     if sorted(N_list) != N_list or len(set(N_list)) != len(N_list):
@@ -139,24 +160,23 @@ def capacity_scaling(law: EnvironmentLaw, lam: float, A, B, N_list, seed: int,
         cap = dirichlet_form(env, B_N, h)
         dt = time.perf_counter() - t0
         d = A_N.d
+        pairing = (None if eta is None
+                   else float(np.sum(h * eta(B_N.coords / float(N)))) / N ** d)
         return ScaleResult(N, N ** (2 - d) * cap, dt, len(U),
-                           op.backend if op else "none")
+                           op.backend if op else "none", pairing)
 
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one_scale, N_list))
-    else:
-        results = [one_scale(N) for N in N_list]
+    results = [one_scale(N) for N in N_list]
     vals = [r.scaled_capacity for r in results]
-    rel = [abs(vals[i + 1] - vals[i]) / max(abs(vals[i + 1]), 1e-300)
-           for i in range(len(vals) - 1)]
-    cauchy_ok = all(rel[i + 1] <= cauchy_factor * rel[i] + 1e-12
-                    for i in range(len(rel) - 1)) if len(rel) >= 2 else True
-    sweep = ScalingSweep(N_list, results, rel, cauchy_ok)
+    sweep = ScalingSweep(N_list, results, *_cauchy(vals, cauchy_factor))
     if reference is not None:
         sweep.reference = reference
         sweep.within_reference = abs(vals[-1] - reference) <= reference_rtol * abs(reference)
+    if eta is not None:
+        pairs = [r.pairing for r in results]
+        sweep.pairing_rel_changes, sweep.pairing_cauchy_ok = _cauchy(pairs, cauchy_factor)
+        if oracle is not None:
+            sweep.oracle = oracle
+            sweep.within_oracle = abs(pairs[-1] - oracle) <= oracle_rtol * abs(oracle)
     return sweep
 
 
@@ -201,48 +221,6 @@ def annulus_pairing_quadrature(r: float, R: float, f, step: float) -> float:
     return total
 
 
-@dataclass
-class PairingResult:
-    N: int
-    pairing: float
-
-
-@dataclass
-class PairingSweep:
-    results: list
-    rel_changes: list
-    cauchy_ok: bool
-    oracle: float | None = None
-    within_oracle: bool | None = None
-
-
-def potential_pairing_convergence(law: EnvironmentLaw, lam: float, A, B, f,
-                                  N_list, seed: int,
-                                  oracle: float | None = None,
-                                  oracle_rtol: float = 0.10,
-                                  cauchy_factor: float = 0.5) -> PairingSweep:
-    """Riemann pairings N^(-d) sum_x h_{A_N,B_N}(x) f(x/N) along N."""
-    results = []
-    for N in [int(N) for N in N_list]:
-        A_N = blow_up(A, N)
-        B_N = blow_up(B, N)
-        env = environment_for_sites(law, B_N, seed, lam)
-        h = harmonic_potential(env, A_N, B_N)
-        vals = f(B_N.coords / float(N))
-        d = B_N.d
-        results.append(PairingResult(N, float(np.sum(h * vals)) / N ** d))
-    vals = [r.pairing for r in results]
-    rel = [abs(vals[i + 1] - vals[i]) / max(abs(vals[i + 1]), 1e-300)
-           for i in range(len(vals) - 1)]
-    cauchy_ok = all(rel[i + 1] <= cauchy_factor * rel[i] + 1e-12
-                    for i in range(len(rel) - 1)) if len(rel) >= 2 else True
-    sweep = PairingSweep(results, rel, cauchy_ok)
-    if oracle is not None:
-        sweep.oracle = oracle
-        sweep.within_oracle = abs(vals[-1] - oracle) <= oracle_rtol * abs(oracle)
-    return sweep
-
-
 # ---------------------------------------------------------------------------
 # Walk diffusivity
 
@@ -271,29 +249,19 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
         raise ValueError("mode must be 'vsrw' or 'csrw'")
     if window_half is None:
         window_half = int(math.ceil(6.0 * math.sqrt(2.0 * d * t_horizon))) + 2
-    window = box_sites([-window_half] * d, [window_half] * d)
-    env = sample_environment(law, window, seed, lam)
+    env = sample_environment(law, ([-window_half] * d, [window_half] * d),
+                             seed, lam)
     rng = stream(seed, "diffusivity", mode)
     pos = np.zeros((replicas, d), dtype=np.int64)
     clock = np.zeros(replicas)
     active = np.ones(replicas, dtype=bool)
     discarded = np.zeros(replicas, dtype=bool)
-    offsets = np.zeros((2 * d, d), dtype=np.int64)
-    for a in range(d):
-        offsets[2 * a, a] = 1
-        offsets[2 * a + 1, a] = -1
+    offsets = _step_offsets(d)
     guard = window_half - 1
     while np.any(active):
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        cols = []
-        for a in range(d):
-            step = np.zeros(d, dtype=np.int64)
-            step[a] = 1
-            cols.append(env.forward(p, a))
-            cols.append(env.forward(p - step, a))
-        w = np.stack(cols, axis=1)
-        omega = w.sum(axis=1)
+        w, omega = _jump_distribution(env, p)
         rate = omega if mode == "vsrw" else np.ones_like(omega)
         zeta = rng.exponential(1.0 / rate)
         done = clock[idx] + zeta >= t_horizon
@@ -400,16 +368,17 @@ class _DisconnectionInstance:
         self._seed = tuple((self.A_N.coords - lo).T)
         self._target = (slice(None),) + tuple((self.S_N.coords - lo).T)
 
-    def tilt_function(self, strength: float, delta_shell: float, A_shape) -> np.ndarray:
+    def tilt_function(self, delta_shell: float, A_shape) -> tuple[np.ndarray, float]:
+        """Unit tilt profile over the domain, the harmonic potential of the
+        delta-inflated A_N killed outside B_N, and its Dirichlet energy."""
         Ad = A_shape.inflate(delta_shell) if delta_shell > 0 else A_shape
         Ad_N = blow_up(Ad, self.N, d=self.domain.d)
         if not Ad_N.issubset(self.B_N):
             raise ValueError("inflated set escapes the killing region")
         h = harmonic_potential(self.env, Ad_N, self.B_N)
-        f = np.zeros(len(self.domain))
-        f[self.domain.locate(self.B_N.coords)] = h
-        self._cap_tilt = dirichlet_form(self.env, self.domain, f)
-        return -strength * f
+        g = np.zeros(len(self.domain))
+        g[self.domain.locate(self.B_N.coords)] = h
+        return g, dirichlet_form(self.env, self.domain, g)
 
     def disconnected(self, fields: np.ndarray, alpha: float) -> np.ndarray:
         """Bool per column: no level-set path from A_N to the shell."""
@@ -449,12 +418,13 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
     ladder_eps = list(eps_ladder) if eps_ladder is not None else [epsilon]
     if epsilon not in ladder_eps:
         ladder_eps.append(epsilon)
+    g, cap_tilt = inst.tilt_function(delta_shell, A_shape)
     ladder = []
     main_point = None
     for eps in ladder_eps:
         strength = alpha_star_ref - alpha + eps
-        f = inst.tilt_function(strength, delta_shell, A_shape)
-        H = 0.5 * strength ** 2 * inst._cap_tilt
+        f = -strength * g
+        H = 0.5 * strength ** 2 * cap_tilt
         trng = stream(seed, "disconnect-tilted", repr(float(eps)))
         wsum = 0.0
         w2sum = 0.0
@@ -494,7 +464,7 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
     slack = 3.0 * (se_direct / max(p_direct, 1e-300)) + 3.0 * bound_se
     bound_ok = log_direct >= bound - slack
 
-    cap_scaled = N ** (2 - d) * inst._cap_tilt
+    cap_scaled = N ** (2 - d) * cap_tilt
     rate_dir = -N ** (2 - d) * log_direct if np.isfinite(log_direct) else math.inf
     rate_is = (-N ** (2 - d) * math.log(mp.is_estimate)
                if mp.is_estimate > 0 else math.inf)
@@ -547,8 +517,8 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
                                   seed=seed, B_shape=B_shape, d=d)
     eta = eta_from_spec(eta_spec)
     eta_tilde = eta(inst.domain.coords / float(N)) / float(N) ** d
-    strength = alpha_star_ref - alpha + epsilon
-    f = inst.tilt_function(strength, delta_shell, A_shape)
+    g, _ = inst.tilt_function(delta_shell, A_shape)
+    f = -(alpha_star_ref - alpha + epsilon) * g
     h_A = harmonic_potential(inst.env, inst.A_N, inst.B_N)
     eta_on_B = eta(inst.B_N.coords / float(N)) / float(N) ** d
     profile_pairing = -(alpha_star_ref - alpha) * float(np.sum(h_A * eta_on_B))

@@ -52,9 +52,6 @@ class SiteSet:
 
     def __init__(self, sites, d: int | None = None):
         coords = as_coords(sites, d)
-        if coords.shape[0] > 0:
-            coords = np.unique(coords, axis=0)
-        self.coords = coords
         self.d = check_dimension(coords.shape[1] if d is None else d)
         if coords.shape[0] > 0:
             # packing window pads by one so neighbor queries stay in range
@@ -62,11 +59,15 @@ class SiteSet:
             self._span = coords.max(axis=0) - self._lo + 2
             if float(np.prod(self._span.astype(np.float64))) >= 2.0 ** 62:
                 raise ValueError("site set bounding box too large to index")
-            self._keys = self._pack(coords)
+            # packed-key order is lexicographic order, so sorting the keys
+            # sorts the rows
+            self._keys, first = np.unique(self._pack(coords), return_index=True)
+            coords = coords[first]
         else:
             self._lo = np.zeros(self.d, dtype=np.int64)
             self._span = np.ones(self.d, dtype=np.int64)
             self._keys = np.empty(0, dtype=np.int64)
+        self.coords = coords
 
     def _pack(self, pts: np.ndarray) -> np.ndarray:
         off = pts - self._lo

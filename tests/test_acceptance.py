@@ -23,7 +23,6 @@ from gfflab.homogenization import (
     disconnection_rate_experiment,
     estimate_diffusivity,
     eta_from_spec,
-    potential_pairing_convergence,
     _DisconnectionInstance,
 )
 from gfflab.interfaces import (
@@ -256,21 +255,19 @@ def test_criterion_08_homogenization_annulus():
     A = euclidean_ball([0, 0, 0], 0.5)
     B = euclidean_ball([0, 0, 0], 2.0)
     ref = continuum_capacity_reference("annulus", 2.0, 3, r=0.5, R=2.0)
-    sweep = capacity_scaling(EnvironmentLaw.constant(1.0), LAM, A, B,
-                             [8, 16, 32], seed=8, reference=ref,
-                             reference_rtol=0.10, cauchy_factor=1.0)
-    cauchy_ok = sweep.cauchy_ok
-    within = bool(sweep.within_reference)
     eta = eta_from_spec({"kind": "radial_bump", "center": [0, 0, 0],
                          "radius": 1.8})
     oracle = annulus_pairing_quadrature(0.5, 2.0, eta, step=0.02)
-    pair = potential_pairing_convergence(EnvironmentLaw.constant(1.0), LAM,
-                                         A, B, eta, [8, 16, 32], seed=8,
-                                         oracle=oracle, oracle_rtol=0.10)
-    pair_ok = bool(pair.within_oracle)
+    sweep = capacity_scaling(EnvironmentLaw.constant(1.0), LAM, A, B,
+                             [8, 16, 32], seed=8, reference=ref,
+                             reference_rtol=0.10, cauchy_factor=1.0,
+                             eta=eta, oracle=oracle, oracle_rtol=0.10)
+    cauchy_ok = sweep.cauchy_ok
+    within = bool(sweep.within_reference)
+    pair_ok = bool(sweep.within_oracle)
     _report(8, f"annulus capacity ladder Cauchy={cauchy_ok}, "
                f"{sweep.results[-1].scaled_capacity:.3f} vs ref {ref:.3f} "
-               f"(10%); pairing {pair.results[-1].pairing:.4f} vs quadrature "
+               f"(10%); pairing {sweep.results[-1].pairing:.4f} vs quadrature "
                f"{oracle:.4f} (10%)",
             cauchy_ok and within and pair_ok, 1800, time.time() - t0)
 

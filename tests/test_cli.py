@@ -166,7 +166,7 @@ def test_validate_command_checks_every_section(tmp_path, capsys):
         "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
         "N_list": [4],
     }
-    main(["validate", "--config", _write(tmp_path, cfg)])
+    assert main(["validate", "--config", _write(tmp_path, cfg)]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert any("escapes B" in s for s in lines)
     assert any("percolation.classify" in s and "separation" in s for s in lines)
@@ -183,4 +183,27 @@ def test_missing_command_section_exit_code(tmp_path):
     cfg = _base(tmp_path)
     assert any("'gff'" in s for s in validate(cfg, "gff"))
     assert main(["gff", "--config", _write(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "run1").exists()
+
+
+def test_missing_required_key_exit_code(tmp_path, capsys):
+    cfg = _base(tmp_path)
+    cfg["percolation"] = {"L_grid": [1], "alpha_grid": [0.0]}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert "percolation: missing key(s) replicas" in capsys.readouterr().out
+    assert main(["percolation", "--config", path]) == 2
+    assert not (tmp_path / "run1").exists()
+    # optional subsections and keys bring their own required keys
+    cfg["percolation"]["replicas"] = 8
+    cfg["percolation"]["connectivity"] = {"alpha": 0.2, "replicas": 8}
+    cfg["disconnect"] = {
+        "A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+        "M": 1.5, "alpha": 0.3, "alpha_star_ref": 0.5, "epsilon": 0.1,
+        "N": 3, "direct_replicas": 8, "tilted_replicas": 8,
+        "eta": {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0},
+    }
+    assert validate(cfg) == ["percolation.connectivity: missing key(s) z_list",
+                             "disconnect+eta: missing key(s) Delta"]
+    assert main(["disconnect", "--config", _write(tmp_path, cfg)]) == 2
     assert not (tmp_path / "run1").exists()

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from gfflab.environment import EnvironmentLaw
+from gfflab.cli import main
+from gfflab.environment import EnvironmentLaw, environment_for_sites
 from gfflab.homogenization import (
     annulus_pairing_quadrature,
     annulus_potential,
@@ -12,10 +14,10 @@ from gfflab.homogenization import (
     disconnection_rate_experiment,
     estimate_diffusivity,
     eta_from_spec,
-    potential_pairing_convergence,
     repulsion_experiment,
 )
-from gfflab.lattice import euclidean_ball, linf_box
+from gfflab.lattice import blow_up, euclidean_ball, linf_box
+from gfflab.potential import DirichletOperator, harmonic_potential
 
 CONST = EnvironmentLaw.constant(1.0)
 RANDOM = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -122,19 +124,59 @@ def test_pairing_trivial_cases():
     # test function supported outside B pairs to zero at every N
     eta_out = eta_from_spec({"kind": "radial_bump", "center": [5.0, 0, 0],
                              "radius": 0.5})
-    sweep = potential_pairing_convergence(CONST, 0.5,
-                                          euclidean_ball([0, 0, 0], 0.5),
-                                          euclidean_ball([0, 0, 0], 2.0),
-                                          eta_out, [4, 8], seed=0)
+    sweep = capacity_scaling(CONST, 0.5, euclidean_ball([0, 0, 0], 0.5),
+                             euclidean_ball([0, 0, 0], 2.0), [4, 8], seed=0,
+                             eta=eta_out)
     assert all(r.pairing == 0.0 for r in sweep.results)
     # nonnegative test function pairs nonnegatively
     eta_in = eta_from_spec({"kind": "radial_bump", "center": [0, 0, 0],
                             "radius": 1.0})
-    sweep2 = potential_pairing_convergence(CONST, 0.5,
-                                           euclidean_ball([0, 0, 0], 0.5),
-                                           euclidean_ball([0, 0, 0], 2.0),
-                                           eta_in, [4, 8], seed=0)
+    sweep2 = capacity_scaling(CONST, 0.5, euclidean_ball([0, 0, 0], 0.5),
+                              euclidean_ball([0, 0, 0], 2.0), [4, 8], seed=0,
+                              eta=eta_in)
     assert all(r.pairing >= 0.0 for r in sweep2.results)
+
+
+def test_each_dirichlet_problem_is_solved_once(tmp_path, monkeypatch):
+    solves = []
+    plain_solve = DirichletOperator.solve
+
+    def counting_solve(self, rhs):
+        solves.append(rhs)
+        return plain_solve(self, rhs)
+
+    monkeypatch.setattr(DirichletOperator, "solve", counting_solve)
+    bump = {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.5}
+    cfg = {"dimension": 3, "lambda": 0.5, "master_seed": 42,
+           "law": {"kind": "iid_uniform", "low": 0.5, "high": 1.0},
+           "homogenize": {
+               "A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+               "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
+               "N_list": [4, 6], "eta": bump}}
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["homogenize", "--config", str(path),
+                 "--out", str(tmp_path / "out")]) == 0
+    # one solve per N serves both the capacity and the pairing
+    assert len(solves) == 2
+    rows = (tmp_path / "out" / "potential_pairing.csv").read_text().splitlines()
+    pairings = dict(map(float, row.split(",")) for row in rows[2:])
+    eta = eta_from_spec(bump)
+    expected = {}
+    for N in (4, 6):
+        A_N = blow_up(A_SHAPE, N)
+        B_N = blow_up(euclidean_ball([0, 0, 0], 2.0), N)
+        h = harmonic_potential(environment_for_sites(RANDOM, B_N, 42, 0.5), A_N, B_N)
+        expected[N] = float(np.sum(h * eta(B_N.coords / float(N)))) / N ** 3
+    assert pairings == expected
+
+    # one tilt solve serves the whole epsilon ladder
+    solves.clear()
+    rep = disconnection_rate_experiment(
+        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
+        delta_shell=0.25, N=4, direct_replicas=50, tilted_replicas=50,
+        seed=22, lam=0.5, eps_ladder=[0.05, 0.8, 1.6])
+    assert len(rep.ladder) == 3 and len(solves) == 1
 
 
 # -- diffusivity ----------------------------------------------------------------

@@ -101,6 +101,7 @@ def test_deterministic_lex_order():
     s1 = SiteSet(pts)
     s2 = SiteSet(pts[::-1])
     assert np.array_equal(s1.coords, s2.coords)
+    assert np.array_equal(s1.coords, np.unique(pts, axis=0))
     assert np.all(np.diff(s1._keys) > 0)
 
 

@@ -191,6 +191,17 @@ def test_dirichlet_form_basics(env, const_env):
     assert abs(lhs - rhs) < 1e-12 * max(1.0, abs(lhs))
 
 
+def test_dirichlet_form_is_killed_laplacian_form(env):
+    # a box with a hole plus an isolated site: edges leave the set
+    # outwards, into the hole and from the isolated site
+    S = ball([0, 0, 0], 3).difference(ball([1, 0, 0], 1)).union(
+        SiteSet([[6, 6, 6]]))
+    L = killed_laplacian(env, S)
+    f, g = stream(6, "forms-identity").standard_normal((2, len(S)))
+    assert dirichlet_form(env, S, f, g) == pytest.approx(f @ L @ g, rel=1e-12)
+    assert dirichlet_form(env, S, f) == pytest.approx(f @ L @ f, rel=1e-12)
+
+
 def test_constant_function_gradient(env):
     # edges inside a constant region contribute nothing: compare a padded
     # constant against its energy from boundary edges only
