@@ -33,6 +33,7 @@ from .interfaces import (
     escape_probability,
 )
 from .homogenization import (
+    _DisconnectionInstance,
     annulus_pairing_quadrature,
     capacity_scaling,
     continuum_capacity_reference,
@@ -378,12 +379,16 @@ class Runner:
         sec = self.config["disconnect"]
         A = shape_from_spec(sec["A"])
         B = shape_from_spec(sec["B"]) if "B" in sec else None
+        # one environment, factor and tilt solve serve both experiments
+        inst = _DisconnectionInstance(self.law, A, sec["M"], sec["N"],
+                                      lam=self.lam, seed=self.seed, B_shape=B,
+                                      d=self.d)
         report = disconnection_rate_experiment(
             self.law, A, sec["M"], sec["alpha"], sec["alpha_star_ref"],
             sec["epsilon"], sec.get("delta_shell", 0.0), sec["N"],
             sec["direct_replicas"], sec["tilted_replicas"], self.seed,
             lam=self.lam, B_shape=B, eps_ladder=sec.get("eps_ladder"),
-            d=self.d)
+            d=self.d, instance=inst)
         rows = [[p.epsilon, p.tilted_freq, p.tilted_se, p.is_estimate,
                  p.is_se, p.ess, p.entropy_H] for p in report.ladder]
         write_csv(self._record("disconnect_ladder.csv"),
@@ -397,7 +402,7 @@ class Runner:
                 self.law, A, sec["M"], sec["alpha"], sec["alpha_star_ref"],
                 sec["epsilon"], sec.get("delta_shell", 0.0), sec["N"],
                 sec["tilted_replicas"], self.seed, sec["eta"], sec["Delta"],
-                lam=self.lam, B_shape=B, d=self.d)
+                lam=self.lam, B_shape=B, d=self.d, instance=inst)
             with open(self._record("repulsion_summary.json"), "w") as fh:
                 json.dump(rep.__dict__, fh, indent=2, sort_keys=True,
                           default=float)

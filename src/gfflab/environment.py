@@ -240,12 +240,19 @@ def sample_environment(law: EnvironmentLaw, window, seed: int, lam: float,
     d = check_dimension(lo.shape[0])
     law.validate(lam)
     off = np.zeros(d, dtype=np.int64) if offset is None else as_coords(offset, d)[0]
-    grid = box_sites(lo - 1, hi + 1)
     shape = tuple(hi - lo + 3)
-    weights = []
-    for a in range(d):
-        vals = law.evaluate(grid.coords + off, a, seed)
-        weights.append(vals.reshape(shape))
+    # the padded window slab by slab along axis 0, each slab's origins in
+    # lexicographic order, so memory is one slab of coordinates
+    rest = np.meshgrid(*[np.arange(lo[a] - 1, hi[a] + 2) + off[a]
+                         for a in range(1, d)], indexing="ij")
+    slab = np.empty((rest[0].size, d), dtype=np.int64)
+    for a in range(1, d):
+        slab[:, a] = rest[a - 1].ravel()
+    weights = [np.empty(shape) for _ in range(d)]
+    for i in range(shape[0]):
+        slab[:, 0] = lo[0] - 1 + i + off[0]
+        for a in range(d):
+            weights[a][i] = law.evaluate(slab, a, seed).reshape(shape[1:])
     return Conductances(lo, hi, lam, weights, law, seed=seed, offset=off, d=d)
 
 

@@ -342,6 +342,7 @@ class _DisconnectionInstance:
                  seed: int = 0, B_shape=None, d: int = 3):
         self.N = int(N)
         self.M = float(M)
+        self.A_shape = A_shape
         self.radius = int(math.floor(M * N))
         self.domain = box_sites([-self.radius] * d, [self.radius] * d)
         if isinstance(env_or_law, Conductances):
@@ -367,23 +368,62 @@ class _DisconnectionInstance:
         self._shape = tuple(hi - lo + 1)
         self._seed = tuple((self.A_N.coords - lo).T)
         self._target = (slice(None),) + tuple((self.S_N.coords - lo).T)
+        self._tilts: dict[float, tuple[np.ndarray, float]] = {}
 
-    def tilt_function(self, delta_shell: float, A_shape) -> tuple[np.ndarray, float]:
+    def tilt_function(self, delta_shell: float) -> tuple[np.ndarray, float]:
         """Unit tilt profile over the domain, the harmonic potential of the
-        delta-inflated A_N killed outside B_N, and its Dirichlet energy."""
-        Ad = A_shape.inflate(delta_shell) if delta_shell > 0 else A_shape
-        Ad_N = blow_up(Ad, self.N, d=self.domain.d)
-        if not Ad_N.issubset(self.B_N):
-            raise ValueError("inflated set escapes the killing region")
-        h = harmonic_potential(self.env, Ad_N, self.B_N)
-        g = np.zeros(len(self.domain))
-        g[self.domain.locate(self.B_N.coords)] = h
-        return g, dirichlet_form(self.env, self.domain, g)
+        delta-inflated A_N killed outside B_N, and its Dirichlet energy.
+        Solved once per delta_shell; callers scale, never modify, it."""
+        if delta_shell not in self._tilts:
+            A = self.A_shape
+            Ad_N = blow_up(A.inflate(delta_shell) if delta_shell > 0 else A,
+                           self.N, d=self.domain.d)
+            if not Ad_N.issubset(self.B_N):
+                raise ValueError("inflated set escapes the killing region")
+            h = harmonic_potential(self.env, Ad_N, self.B_N)
+            g = np.zeros(len(self.domain))
+            g[self.domain.locate(self.B_N.coords)] = h
+            self._tilts[delta_shell] = g, dirichlet_form(self.env, self.domain, g)
+        return self._tilts[delta_shell]
 
     def disconnected(self, fields: np.ndarray, alpha: float) -> np.ndarray:
         """Bool per column: no level-set path from A_N to the shell."""
         mask = (fields >= alpha).T.reshape((fields.shape[1],) + self._shape)
         return ~_seed_clusters(mask, self._seed)[self._target].any(axis=1)
+
+
+def _shared_instance(instance, env_or_law, A_shape, M, N, lam, seed, B_shape,
+                     d) -> _DisconnectionInstance:
+    if instance is None:
+        return _DisconnectionInstance(env_or_law, A_shape, M, N, lam=lam,
+                                      seed=seed, B_shape=B_shape, d=d)
+    if (instance.M, instance.N) != (float(M), int(N)):
+        raise ValueError("instance was built for another (M, N)")
+    return instance
+
+
+def _shifted_weights(logw: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, float]:
+    """Importance weights exp(logw - top) where `keep` holds (0 elsewhere),
+    with top the largest kept log-weight. Sums of the shifted weights and
+    their squares neither overflow nor underflow to 0 however strong the
+    tilt; `_unshift` restores the scale."""
+    w = np.zeros(logw.shape)
+    if not keep.any():
+        return w, 0.0
+    top = float(logw[keep].max())
+    w[keep] = np.exp(logw[keep] - top)
+    return w, top
+
+
+_LOG_MAX = math.log(np.finfo(np.float64).max)
+
+
+def _unshift(x: float, top: float) -> float:
+    """x * exp(top), finite whenever the product is representable."""
+    if x <= 0:
+        return 0.0
+    v = top + math.log(x)
+    return math.exp(v) if v < _LOG_MAX else math.inf
 
 
 def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
@@ -392,7 +432,9 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
                                   direct_replicas: int, tilted_replicas: int,
                                   seed: int, lam: float | None = None,
                                   B_shape=None, eps_ladder=None,
-                                  chunk: int = 500, d: int = 3) -> DisconnectionReport:
+                                  chunk: int = 500, d: int = 3,
+                                  instance: _DisconnectionInstance | None = None
+                                  ) -> DisconnectionReport:
     """Direct and entropically tilted estimation of the probability that
     the level set disconnects the blown-up set from the enclosing shell.
 
@@ -400,10 +442,11 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
     times the harmonic potential of the inflated set, the finite-size
     stand-in for the construction behind the large-deviation lower
     bound; likelihood ratios are exact, so the importance-sampling
-    estimator is unbiased for any epsilon.
+    estimator is unbiased for any epsilon. An `instance` built for the
+    same (law, A, M, N, seed) replaces building one, with its tilt.
     """
-    inst = _DisconnectionInstance(env_or_law, A_shape, M, N, lam=lam,
-                                  seed=seed, B_shape=B_shape, d=d)
+    inst = _shared_instance(instance, env_or_law, A_shape, M, N, lam, seed,
+                            B_shape, d)
     rng = stream(seed, "disconnect-direct")
     hits = 0
     done = 0
@@ -418,7 +461,7 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
     ladder_eps = list(eps_ladder) if eps_ladder is not None else [epsilon]
     if epsilon not in ladder_eps:
         ladder_eps.append(epsilon)
-    g, cap_tilt = inst.tilt_function(delta_shell, A_shape)
+    g, cap_tilt = inst.tilt_function(delta_shell)
     ladder = []
     main_point = None
     for eps in ladder_eps:
@@ -426,24 +469,22 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
         f = -strength * g
         H = 0.5 * strength ** 2 * cap_tilt
         trng = stream(seed, "disconnect-tilted", repr(float(eps)))
-        wsum = 0.0
-        w2sum = 0.0
-        hits_t = 0
+        logws, discs = [], []
         done_t = 0
         while done_t < tilted_replicas:
             k = min(chunk, tilted_replicas - done_t)
             block = sample_matrix(inst.env, inst.domain, k, trng, op=inst.op) + f[:, None]
-            disc = inst.disconnected(block, alpha)
-            logw = tilt_log_weights(inst.env, inst.domain, f, block, op=inst.op)
-            wd = np.exp(logw) * disc
-            wsum += float(wd.sum())
-            w2sum += float((wd ** 2).sum())
-            hits_t += int(disc.sum())
+            discs.append(inst.disconnected(block, alpha))
+            logws.append(tilt_log_weights(inst.env, inst.domain, f, block, op=inst.op))
             done_t += k
+        disc = np.concatenate(discs)
+        wd, top = _shifted_weights(np.concatenate(logws), disc)
+        wsum = float(wd.sum())
+        w2sum = float((wd ** 2).sum())
         n = tilted_replicas
-        is_est = wsum / n
-        is_se = math.sqrt(max(w2sum / n - is_est ** 2, 0.0) / n)
-        freq = hits_t / n
+        is_est = _unshift(wsum / n, top)
+        is_se = _unshift(math.sqrt(max(w2sum / n - (wsum / n) ** 2, 0.0) / n), top)
+        freq = int(disc.sum()) / n
         ess = wsum ** 2 / w2sum if w2sum > 0 else 0.0
         point = LadderPoint(float(eps), freq, binomial_se(freq, n),
                             is_est, is_se, ess, H)
@@ -505,19 +546,22 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
                          seed: int, eta_spec: dict, Delta: float,
                          lam: float | None = None, B_shape=None,
                          chunk: int = 500, se_mult: float = 5.0,
-                         d: int = 3) -> RepulsionReport:
+                         d: int = 3,
+                         instance: _DisconnectionInstance | None = None
+                         ) -> RepulsionReport:
     """Behavior of the macroscopic field average under the tilted law.
 
     Pairs the empirical field with a test function, checks that the
     unconditional tilted mean matches the deterministic tilt pairing,
     and reports the disconnection-conditioned, reweighted mean next to
     the finite-volume profile pairing -(ref - alpha) <h_{A_N,B_N}, eta>.
+    An `instance` is used as in `disconnection_rate_experiment`.
     """
-    inst = _DisconnectionInstance(env_or_law, A_shape, M, N, lam=lam,
-                                  seed=seed, B_shape=B_shape, d=d)
+    inst = _shared_instance(instance, env_or_law, A_shape, M, N, lam, seed,
+                            B_shape, d)
     eta = eta_from_spec(eta_spec)
     eta_tilde = eta(inst.domain.coords / float(N)) / float(N) ** d
-    g, _ = inst.tilt_function(delta_shell, A_shape)
+    g, _ = inst.tilt_function(delta_shell)
     f = -(alpha_star_ref - alpha + epsilon) * g
     h_A = harmonic_potential(inst.env, inst.A_N, inst.B_N)
     eta_on_B = eta(inst.B_N.coords / float(N)) / float(N) ** d
@@ -537,7 +581,7 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
         done_t += k
     pair = np.concatenate(pair_vals)
     disc = np.concatenate(disc_flags)
-    w = np.exp(np.concatenate(logws))
+    wd, top = _shifted_weights(np.concatenate(logws), disc)
     n = tilted_replicas
 
     mean_t = float(pair.mean())
@@ -545,7 +589,6 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
     tilt_ref = float(f @ eta_tilde)
     tilt_ok = abs(mean_t - tilt_ref) <= se_mult * se_t
 
-    wd = w * disc
     if wd.sum() > 0:
         cond_mean = float((wd * pair).sum() / wd.sum())
         resid = wd * (pair - cond_mean)
@@ -554,9 +597,9 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
         cond_mean, cond_se = math.nan, math.nan
 
     dev = np.abs(pair - profile_pairing) >= Delta
-    dev_w = w * (dev & disc)
-    dev_est = float(dev_w.mean())
-    dev_se = float(dev_w.std(ddof=1) / math.sqrt(n))
+    dev_w = wd * dev
+    dev_est = _unshift(float(dev_w.mean()), top)
+    dev_se = _unshift(float(dev_w.std(ddof=1) / math.sqrt(n)), top)
     return RepulsionReport(
         pairing_mean_tilted=mean_t, pairing_se_tilted=se_t,
         pairing_tilt_reference=tilt_ref, tilt_mean_ok=tilt_ok,

@@ -10,9 +10,15 @@ harmonic potentials, capacities and field covariances alike.
 
 Solver policy: exact sparse factorization (SuperLU, symmetric mode) up
 to `factor_limit` unknowns, Jacobi-preconditioned conjugate gradients
-beyond. Gaussian sampling additionally wants a triangular factor; a
-banded Cholesky factor is built when the profile fits in memory, with an
-exact incidence-splitting fallback through the LU solve otherwise.
+beyond.
+
+Gaussian sampling (Rue 2001): with L_U = U^T U the banded Cholesky
+factor, x = U^{-1} z for z standard normal has covariance L_U^{-1}. All
+draws of one call share a single back-substitution over row blocks of
+the band's height, a BLAS-3 triangular multiply and solve per block, so
+the band is read once per call, not once per draw. When the band does
+not fit in memory, an exact incidence splitting through the LU solve is
+used instead.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from scipy.linalg import cholesky_banded, lapack
+from scipy.linalg import blas, cholesky_banded
 
 from .lattice import SiteSet, as_coords, ball
 from .environment import Conductances
@@ -178,11 +184,11 @@ class DirichletOperator:
         """(n, count) draws of N(0, L_U^{-1}), exact given the factorization."""
         if self._banded_feasible():
             R = self._get_chol_band()
+            if not R[-1].all():
+                raise SolverError("banded Cholesky factor has a zero pivot")
             z = rng.standard_normal((self.n, count))
-            x, info = lapack.dtbtrs(R, z, uplo="U", trans="N", diag="N")
-            if info != 0:
-                raise SolverError(f"triangular banded solve failed (info={info})")
-            return x
+            _band_back_substitute(R, z.T)
+            return z
         if self.backend == "splu":
             F = self._get_incidence()
             z = rng.standard_normal((F.shape[0], count))
@@ -190,6 +196,41 @@ class DirichletOperator:
         raise SolverError(
             "sampling needs a factorization; domain exceeds the factor limit"
         )
+
+
+def _band_back_substitute(R: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite y (k, n) with the solution x of x U^T = y, i.e. each row
+    r with U^{-1} r, where R is U in LAPACK upper band storage (bw + 1, n).
+
+    R is Fortran-ordered, so U[r, c] sits at R.ravel("F")[bw + r + c*bw]:
+    the diagonal block of rows [s, s + bw) and the block to its right are
+    each a contiguous Fortran bw x bw window, whose upper and lower
+    triangles respectively are the band. Blocks run from the bottom; the
+    top rows left over when bw does not divide n get a zero-filled copy.
+    """
+    bw, n = R.shape[0] - 1, R.shape[1]
+    if bw == 0:
+        y /= R[0]
+        return
+    flat = R.ravel(order="F")
+
+    def window(r: int, c: int, cols: int = bw) -> np.ndarray:
+        off = bw + r + c * bw
+        return flat[off:off + bw * cols].reshape(bw, cols, order="F")
+
+    for s in range(n - bw, -1, -bw):
+        blk = slice(s, s + bw)
+        if s + bw < n:
+            y[:, blk] -= blas.dtrmm(1.0, window(s, s + bw), y[:, s + bw:s + 2 * bw],
+                                    side=1, lower=1, trans_a=1)
+        y[:, blk] = blas.dtrsm(1.0, window(s, s), y[:, blk], side=1, trans_a=1,
+                               overwrite_b=1)
+    top = n % bw
+    if top:
+        rows = np.triu(np.tril(window(0, 0, top + bw)[:top], bw))
+        y[:, :top] -= y[:, top:top + bw] @ rows[:, top:].T
+        y[:, :top] = blas.dtrsm(1.0, rows[:, :top], y[:, :top], side=1,
+                                trans_a=1, overwrite_b=1)
 
 
 def as_operator(env, U, op=None) -> DirichletOperator:

@@ -72,6 +72,18 @@ def test_seed_and_window_consistency():
     assert a.edge_weight([0, 0, 0], [0, 1, 0]) == big.edge_weight([0, 0, 0], [0, 1, 0])
 
 
+@pytest.mark.parametrize("law", LAWS)
+def test_slabwise_sampling_matches_site_set_construction(law):
+    # reference: the padded window as one lexicographic SiteSet
+    lo, hi, off = np.array([-3, -2, 0]), np.array([2, 4, 3]), np.array([5, -1, 2])
+    grid = box_sites(lo - 1, hi + 1)
+    weights = [law.evaluate(grid.coords + off, a, 11).reshape(tuple(hi - lo + 3))
+               for a in range(3)]
+    ref = Conductances(lo, hi, 0.5, weights, law, seed=11, offset=off)
+    env = sample_environment(law, (lo, hi), 11, 0.5, offset=off)
+    assert env.content_hash() == ref.content_hash()
+
+
 def test_shift_identity_and_composition():
     law = EnvironmentLaw.iid_uniform(0.5, 1.0)
     env = sample_environment(law, WINDOW, seed=9, lam=0.5)

@@ -3,10 +3,15 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from gfflab.cli import main
 from gfflab.environment import EnvironmentLaw, environment_for_sites
+from gfflab import homogenization
 from gfflab.homogenization import (
+    _DisconnectionInstance,
+    _shifted_weights,
+    _unshift,
     annulus_pairing_quadrature,
     annulus_potential,
     capacity_scaling,
@@ -18,6 +23,7 @@ from gfflab.homogenization import (
 )
 from gfflab.lattice import blow_up, euclidean_ball, linf_box
 from gfflab.potential import DirichletOperator, harmonic_potential
+from gfflab.streams import stream
 
 CONST = EnvironmentLaw.constant(1.0)
 RANDOM = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -178,6 +184,25 @@ def test_each_dirichlet_problem_is_solved_once(tmp_path, monkeypatch):
         seed=22, lam=0.5, eps_ladder=[0.05, 0.8, 1.6])
     assert len(rep.ladder) == 3 and len(solves) == 1
 
+    # one instance and tilt serve both experiments of `gfflab disconnect`,
+    # with the outputs of two unshared experiments
+    solves.clear()
+    geometry = dict(M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
+                    delta_shell=0.25, N=4, tilted_replicas=60)
+    cfg["disconnect"] = dict(geometry, A=cfg["homogenize"]["A"],
+                             direct_replicas=60, eta=bump, Delta=0.05)
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "disc"
+    assert main(["disconnect", "--config", str(path), "--out", str(out)]) == 0
+    assert len(solves) == 2  # the tilt profile and h_{A_N,B_N}
+    alone = disconnection_rate_experiment(RANDOM, A_SHAPE, direct_replicas=60,
+                                          seed=42, lam=0.5, **geometry)
+    summary = json.loads((out / "disconnect_summary.json").read_text())
+    assert summary == {k: v for k, v in alone.__dict__.items() if k != "ladder"}
+    alone = repulsion_experiment(RANDOM, A_SHAPE, seed=42, eta_spec=bump,
+                                 Delta=0.05, lam=0.5, **geometry)
+    assert json.loads((out / "repulsion_summary.json").read_text()) == alone.__dict__
+
 
 # -- diffusivity ----------------------------------------------------------------
 
@@ -258,6 +283,55 @@ def test_repulsion_zero_test_function():
     assert rep.pairing_mean_tilted == 0.0
     assert rep.pairing_tilt_reference == 0.0
     assert rep.profile_pairing == 0.0
+
+
+def test_importance_weights_summed_in_log_domain(monkeypatch):
+    logw = stream(26, "logw").normal(size=40)
+    keep = np.arange(40) % 3 != 0
+    w0, top0 = _shifted_weights(logw, keep)
+    assert w0.max() == 1.0 and np.all(w0[~keep] == 0.0)
+    for c in (-800.0, 800.0):  # np.exp(logw + c) underflows to 0 / overflows
+        w, top = _shifted_weights(logw + c, keep)
+        assert np.allclose(w, w0, rtol=1e-12, atol=0.0)
+        assert top == pytest.approx(top0 + c, rel=1e-15)
+    # x * exp(top) where exp(top) alone overflows but the product does not
+    assert _unshift(1e-10, 720.0) == pytest.approx(
+        math.exp(360.0) * (math.exp(360.0) * 1e-10), rel=1e-12)
+    assert _unshift(1.0, 800.0) == math.inf and _unshift(0.0, 800.0) == 0.0
+
+    # through the experiment: tilts of entropy 0.5 and 500, where the raw
+    # squared weights underflow to 0 and the raw ESS and SE read 0
+    inst = _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=25)
+    cap = inst.tilt_function(0.25)[1]
+    strengths = [math.sqrt(2 * H / cap) for H in (0.5, 500.0)]
+    seen = []
+    plain = homogenization.tilt_log_weights
+
+    def spy(env, U, f, samples, op=None):
+        out = plain(env, U, f, samples, op=op)
+        seen.append((out, inst.disconnected(samples, 0.35)))
+        return out
+
+    monkeypatch.setattr(homogenization, "tilt_log_weights", spy)
+    rep = disconnection_rate_experiment(
+        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.35,
+        epsilon=strengths[0], delta_shell=0.25, N=4, direct_replicas=10,
+        tilted_replicas=300, seed=25, lam=0.5, eps_ladder=strengths,
+        instance=inst)
+    assert len(seen) == 2
+    for (lw, disc), point in zip(seen, rep.ladder):
+        with np.errstate(under="ignore"):
+            raw = np.exp(lw) * disc
+            raw2 = (raw ** 2).sum()
+        ess = math.exp(2 * logsumexp(lw[disc]) - logsumexp(2 * lw[disc]))
+        assert 0 < point.ess <= 300 and point.ess == pytest.approx(ess, rel=1e-12)
+        assert 0 < point.is_estimate == pytest.approx(raw.mean(), rel=1e-12)
+        assert 0 < point.is_se < math.inf
+        if raw2 > 0:
+            assert point.ess == pytest.approx(raw.sum() ** 2 / raw2, rel=1e-12)
+            assert point.is_se == pytest.approx(
+                math.sqrt((raw2 / 300 - raw.mean() ** 2) / 300), rel=1e-9)
+    assert (np.exp(seen[1][0]) ** 2).sum() == 0.0  # the strong tilt underflows
 
 
 def test_disconnection_geometry_guards():

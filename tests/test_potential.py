@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.linalg import lapack
 
 from gfflab.environment import EnvironmentLaw, sample_environment
 from gfflab.lattice import SiteSet, ball, boundary, box_sites
@@ -8,6 +9,7 @@ from gfflab.potential import (
     DirichletOperator,
     SolverError,
     StoppingRules,
+    _band_back_substitute,
     capacity,
     capacity_unkilled_approx,
     dirichlet_form,
@@ -393,6 +395,54 @@ def test_sampler_requires_factorization(env):
     op = DirichletOperator(env, U, factor_limit=10, banded_limit=10)
     with pytest.raises(SolverError):
         op.sample_gaussian(stream(16, "s"), 2)
+
+
+def _band_domains():
+    B = ball([0, 0, 0], 3)
+    return {
+        "full_box": box_sites([0, 0, 0], [3, 3, 3]),
+        "ball_with_holes": SiteSet(B.coords[np.abs(B.coords).sum(axis=1) % 5 != 2]),
+        "single_site": SiteSet([[0, 0, 0]]),
+        "isolated_sites": SiteSet([[0, 0, 0], [2, 0, 0], [0, 2, 2]]),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_band_domains()))
+def test_blocked_back_substitution_matches_dense_and_dtbtrs(env, name):
+    op = DirichletOperator(env, _band_domains()[name])
+    R, n, bw = op._get_chol_band(), op.n, op.bandwidth
+    if name == "full_box":
+        assert bw > 0 and n % bw == 0
+    elif name == "ball_with_holes":
+        assert bw > 0 and n % bw != 0  # a partial top block
+    else:
+        assert bw == 0
+    i, j = np.triu_indices(n)
+    inside = j - i <= bw
+    U = np.zeros((n, n))
+    U[i[inside], j[inside]] = R[bw + i[inside] - j[inside], j[inside]]
+    assert np.abs(U.T @ U - op.matrix.toarray()).max() < 1e-12
+    for count in sorted({1, max(bw - 1, 1), 2 * bw + 3}):
+        z = stream(17, name, count).standard_normal((n, count))
+        x = z.copy()
+        _band_back_substitute(R, x.T)
+        dense = sla.solve_triangular(U, z)
+        banded, info = lapack.dtbtrs(R, z, uplo="U", trans="N", diag="N")
+        assert info == 0
+        for ref in (dense, banded):
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_sample_gaussian_reproducible_and_guarded(env):
+    op = DirichletOperator(env, _band_domains()["ball_with_holes"])
+    a = op.sample_gaussian(stream(18, "s"), 7)
+    b = op.sample_gaussian(stream(18, "s"), 7)
+    assert a.shape == (op.n, 7) and a.tobytes() == b.tobytes()
+    assert op.sample_gaussian(stream(18, "s"), 0).shape == (op.n, 0)
+    op._chol_band = op._get_chol_band().copy()
+    op._chol_band[-1, 5] = 0.0
+    with pytest.raises(SolverError):
+        op.sample_gaussian(stream(18, "s"), 1)
 
 
 def test_incidence_factor_identity(env):
