@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SiteSet, as_coords, box_sites, check_dimension
+from .lattice import SiteSet, as_coords, box_sites, check_dimension, neighbor_steps
 from .streams import keyed_uniform
 
 _MAGIC = b"GFFLABENV1\n"
@@ -136,24 +136,27 @@ class Conductances:
 
     def edge_weight(self, x, y) -> float:
         x = as_coords(x, self.d)[0]
-        y = as_coords(y, self.d)[0]
-        diff = y - x
+        diff = as_coords(y, self.d)[0] - x
         if np.abs(diff).sum() != 1:
             raise ValueError("not a nearest-neighbor edge")
         axis = int(np.nonzero(diff)[0][0])
-        origin = x if diff[axis] == 1 else y
-        return float(self.weights[axis][self._index(origin[None, :])][0])
+        return float(self.forward(np.minimum(x, x + diff), axis)[0])
+
+    def neighbor_weights(self, sites) -> np.ndarray:
+        """(k, 2d) weights of the edges {x, x + s} for each row x, one
+        column per step s of `neighbor_steps(d)`, in its order. The edge
+        is stored at its lower end x + min(s, 0)."""
+        idx = as_coords(sites, self.d) - self.origin
+        if np.any(idx < 1) or np.any(idx >= np.asarray(self.weights[0].shape)):
+            raise ValueError("site outside the stored environment window")
+        out = np.empty((idx.shape[0], 2 * self.d))
+        for k, s in enumerate(neighbor_steps(self.d)):
+            out[:, k] = self.weights[k // 2][tuple((idx + np.minimum(s, 0)).T)]
+        return out
 
     def site_weights(self, sites) -> np.ndarray:
         """omega_x = sum of the 2d incident edge weights."""
-        pts = as_coords(sites, self.d)
-        total = np.zeros(pts.shape[0])
-        for a in range(self.d):
-            step = np.zeros(self.d, dtype=np.int64)
-            step[a] = 1
-            total += self.forward(pts, a)
-            total += self.forward(pts - step, a)
-        return total
+        return self.neighbor_weights(sites).sum(axis=1)
 
     def site_weight(self, x) -> float:
         return float(self.site_weights(as_coords(x, self.d))[0])

@@ -74,17 +74,7 @@ def decompose(phi: FieldSample, env: Conductances, Uprime: SiteSet,
     psi = phi - xi vanishes off Uprime. Requires the external boundary
     of Uprime to stay inside the sample domain.
     """
-    U = phi.sites
-    if not Uprime.issubset(U):
-        raise ValueError("subdomain must lie inside the sample domain")
-    ext = boundary(Uprime, "external")
-    if not ext.issubset(U):
-        raise ValueError("boundary of the subdomain touches the domain boundary")
-    xi = phi.values.copy()
-    inner = harmonic_extension(env, Uprime, U, phi.values, op=op_sub)
-    idx = U.locate(Uprime.coords)
-    xi[idx] = inner
-    psi = phi.values - xi
+    xi, psi = decompose_matrix(env, phi.sites, Uprime, phi.values, op_sub)
     return Decomposition(Uprime, xi, psi)
 
 

@@ -20,8 +20,8 @@ import numpy as np
 
 from .lattice import blow_up, box_sites, linf_box, linf_sphere
 from .environment import Conductances, EnvironmentLaw, environment_for_sites, sample_environment
-from .potential import (DirichletOperator, SolverError, _jump_distribution,
-                        _step_offsets, dirichlet_form, harmonic_potential)
+from .potential import (DirichletOperator, SolverError, _jump, dirichlet_form,
+                        harmonic_potential)
 from .gff import sample_matrix, tilt_log_weights
 from .percolation import _seed_clusters
 from .streams import binomial_se, stream
@@ -256,12 +256,12 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
     clock = np.zeros(replicas)
     active = np.ones(replicas, dtype=bool)
     discarded = np.zeros(replicas, dtype=bool)
-    offsets = _step_offsets(d)
     guard = window_half - 1
     while np.any(active):
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        w, omega = _jump_distribution(env, p)
+        w = env.neighbor_weights(p)
+        omega = w.sum(axis=1)
         rate = omega if mode == "vsrw" else np.ones_like(omega)
         zeta = rng.exponential(1.0 / rate)
         done = clock[idx] + zeta >= t_horizon
@@ -270,11 +270,8 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
         move = idx[~done]
         if move.size == 0:
             continue
-        wm = w[~done]
-        u = rng.random(move.size)[:, None] * omega[~done][:, None]
-        choice = (np.cumsum(wm, axis=1) <= u).sum(axis=1)
-        choice = np.minimum(choice, 2 * d - 1)
-        pos[move] += offsets[choice]
+        u = rng.random(move.size) * omega[~done]
+        pos[move] = _jump(pos[move], w[~done], u)
         out = np.abs(pos[move]).max(axis=1) >= guard
         discarded[move[out]] = True
         active[move[out]] = False
@@ -383,7 +380,7 @@ class _DisconnectionInstance:
             h = harmonic_potential(self.env, Ad_N, self.B_N)
             g = np.zeros(len(self.domain))
             g[self.domain.locate(self.B_N.coords)] = h
-            self._tilts[delta_shell] = g, dirichlet_form(self.env, self.domain, g)
+            self._tilts[delta_shell] = g, float(g @ (self.op.matrix @ g))
         return self._tilts[delta_shell]
 
     def disconnected(self, fields: np.ndarray, alpha: float) -> np.ndarray:
@@ -491,6 +488,8 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
         ladder.append(point)
         if eps == epsilon:
             main_point = point
+            # log of the estimate, finite even where is_est underflows to 0
+            log_is = top + math.log(wsum / n) if wsum > 0 else -math.inf
 
     mp = main_point
     # relative-entropy lower bound evaluated at the tilted frequency
@@ -507,8 +506,7 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
 
     cap_scaled = N ** (2 - d) * cap_tilt
     rate_dir = -N ** (2 - d) * log_direct if np.isfinite(log_direct) else math.inf
-    rate_is = (-N ** (2 - d) * math.log(mp.is_estimate)
-               if mp.is_estimate > 0 else math.inf)
+    rate_is = -N ** (2 - d) * log_is if np.isfinite(log_is) else math.inf
     return DisconnectionReport(
         N=N, M=M, alpha=alpha, alpha_star_ref=alpha_star_ref, epsilon=epsilon,
         delta_shell=delta_shell, direct_estimate=p_direct, direct_se=se_direct,

@@ -215,10 +215,12 @@ _NEIGHBOR_STEPS_CACHE: dict[int, np.ndarray] = {}
 
 
 def neighbor_steps(d: int) -> np.ndarray:
-    """The 2d unit steps +-e_a, shape (2d, d)."""
+    """The step table +e_0, -e_0, +e_1, -e_1, ..., shape (2d, d), read-only:
+    every neighbor enumeration of the package follows its order."""
     if d not in _NEIGHBOR_STEPS_CACHE:
-        eye = np.eye(d, dtype=np.int64)
-        _NEIGHBOR_STEPS_CACHE[d] = np.vstack([eye, -eye])
+        steps = np.kron(np.eye(d, dtype=np.int64), [[1], [-1]])
+        steps.flags.writeable = False
+        _NEIGHBOR_STEPS_CACHE[d] = steps
     return _NEIGHBOR_STEPS_CACHE[d]
 
 
@@ -229,7 +231,6 @@ def boundary(K: SiteSet, kind: str = "external") -> SiteSet:
     steps = neighbor_steps(K.d)
     if kind == "external":
         cand = (K.coords[:, None, :] + steps[None, :, :]).reshape(-1, K.d)
-        cand = np.unique(cand, axis=0)
         outside = ~K.contains_mask(cand)
         return SiteSet(cand[outside], K.d)
     if kind == "internal":

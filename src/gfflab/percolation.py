@@ -22,7 +22,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.stats import norm
 
-from .lattice import SiteSet, as_coords, ball, linf_sphere
+from .lattice import SiteSet, as_coords, ball, linf_sphere, neighbor_steps
 from .environment import Conductances
 from .potential import (
     DirichletOperator,
@@ -334,7 +334,8 @@ def classify_boxes(env: Conductances, phi: FieldSample, grid: BoxCollection,
             delta_mask = psi_fields[z][d_idx] >= delta
             Sdelta = LevelSet(Dz, delta, delta_mask)
             lab = components(Sdelta)
-            for znb in _grid_neighbors(z, L):
+            for step in neighbor_steps(U.d):
+                znb = tuple(int(v) for v in np.add(z, L * step))
                 if znb not in center_set:
                     continue
                 Bnb = grid.box_B(znb)
@@ -351,16 +352,6 @@ def classify_boxes(env: Conductances, phi: FieldSample, grid: BoxCollection,
                     break
         psi_good[z] = good
     return BoxClassification(centers, psi_good, xi_good, gamma, delta, a)
-
-
-def _grid_neighbors(z: tuple, L: int) -> list[tuple]:
-    out = []
-    for a in range(len(z)):
-        for sgn in (1, -1):
-            nb = list(z)
-            nb[a] += sgn * L
-            out.append(tuple(nb))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,12 @@ the inverse of the killed weighted Laplacian L_U, where
 One symmetric positive-definite solve therefore serves Green functions,
 harmonic potentials, capacities and field covariances alike.
 
+Edges are enumerated in two places, both in the step order of
+`lattice.neighbor_steps`: `_inner_edges` lists the edges inside a domain
+(for L_U and its incidence factor), and `Conductances.neighbor_weights`
+the 2d edge weights at each site (for site weights, boundary data and
+walk steps). Dirichlet energies are quadratic forms of L_U.
+
 Solver policy: exact sparse factorization (SuperLU, symmetric mode) up
 to `factor_limit` unknowns, Jacobi-preconditioned conjugate gradients
 beyond.
@@ -31,7 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, cholesky_banded
 
-from .lattice import SiteSet, as_coords, ball
+from .lattice import SiteSet, as_coords, ball, neighbor_steps
 from .environment import Conductances
 from .streams import binomial_se
 
@@ -44,27 +50,25 @@ class SolverError(RuntimeError):
     pass
 
 
+def _inner_edges(env: Conductances, U: SiteSet) -> tuple[np.ndarray, ...]:
+    """The edges {x, x + e_a} with both ends in U, axis by axis: dense
+    indices i of x and j of x + e_a in U, and the edge weights w."""
+    parts = []
+    for a, step in enumerate(neighbor_steps(U.d)[::2]):
+        j = U.locate(U.coords + step)
+        i = np.nonzero(j >= 0)[0]
+        parts.append((i, j[i], env.forward(U.coords[i], a)))
+    return tuple(np.concatenate(p) for p in zip(*parts))
+
+
 def killed_laplacian(env: Conductances, U: SiteSet) -> sp.csr_matrix:
     """Assemble L_U (diagonal = full site weight, so leaving U kills)."""
     n = len(U)
-    diag = env.site_weights(U.coords)
-    rows = [np.arange(n)]
-    cols = [np.arange(n)]
-    vals = [diag]
-    for a in range(U.d):
-        step = np.zeros(U.d, dtype=np.int64)
-        step[a] = 1
-        j = U.locate(U.coords + step)
-        mask = j >= 0
-        if not np.any(mask):
-            continue
-        i = np.nonzero(mask)[0]
-        w = env.forward(U.coords[mask], a)
-        rows.extend([i, j[mask]])
-        cols.extend([j[mask], i])
-        vals.extend([-w, -w])
+    i, j, w = _inner_edges(env, U)
+    ii = np.arange(n)
     mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        (np.concatenate([env.site_weights(U.coords), -w, -w]),
+         (np.concatenate([ii, i, j]), np.concatenate([ii, j, i]))),
         shape=(n, n),
     )
     return mat.tocsr()
@@ -144,39 +148,22 @@ class DirichletOperator:
         return self._chol_band
 
     def _get_incidence(self):
-        # F with F^T F = L_U: one row per in-domain edge plus killing rows
+        # F with F^T F = L_U: one row per edge of U, then one killing row
+        # per site with edges leaving U, the root of their total weight
         if self._incidence is None:
-            U, env = self.sites, self.env
-            rows, cols, vals = [], [], []
-            row_count = 0
-            interior = np.zeros(self.n)
-            for a in range(U.d):
-                step = np.zeros(U.d, dtype=np.int64)
-                step[a] = 1
-                j = U.locate(U.coords + step)
-                mask = j >= 0
-                i = np.nonzero(mask)[0]
-                w = env.forward(U.coords[mask], a)
-                interior[i] += w
-                interior[j[mask]] += w
-                m = len(i)
-                r = row_count + np.arange(m)
-                rows.extend([r, r])
-                cols.extend([i, j[mask]])
-                s = np.sqrt(w)
-                vals.extend([s, -s])
-                row_count += m
-            kill = self.matrix.diagonal() - interior
-            kill = np.clip(kill, 0.0, None)
-            k_idx = np.nonzero(kill > 0)[0]
-            r = row_count + np.arange(len(k_idx))
-            rows.append(r)
-            cols.append(k_idx)
-            vals.append(np.sqrt(kill[k_idx]))
-            row_count += len(k_idx)
+            U = self.sites
+            i, j, w = _inner_edges(self.env, U)
+            leaving = np.stack([U.locate(U.coords + s) < 0
+                                for s in neighbor_steps(U.d)], axis=1)
+            kill = (self.env.neighbor_weights(U.coords) * leaving).sum(axis=1)
+            k_idx = np.nonzero(kill)[0]
+            m, r = len(w), np.arange(len(w))
+            s = np.sqrt(w)
             self._incidence = sp.coo_matrix(
-                (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-                shape=(row_count, self.n),
+                (np.concatenate([s, -s, np.sqrt(kill[k_idx])]),
+                 (np.concatenate([r, r, m + np.arange(len(k_idx))]),
+                  np.concatenate([i, j, k_idx]))),
+                shape=(m + len(k_idx), self.n),
             ).tocsr()
         return self._incidence
 
@@ -285,17 +272,12 @@ def boundary_flux_rhs(env: Conductances, U: SiteSet, data_sites: SiteSet,
     single = values.ndim == 1
     block = values[:, None] if single else values
     rhs = np.zeros((len(U), block.shape[1]))
-    for a in range(U.d):
-        step = np.zeros(U.d, dtype=np.int64)
-        step[a] = 1
-        for sgn in (1, -1):
-            nb = U.coords + sgn * step
-            j = data_sites.locate(nb)
-            mask = (j >= 0) & (U.locate(nb) < 0)
-            if not np.any(mask):
-                continue
-            origin = U.coords[mask] if sgn == 1 else nb[mask]
-            w = env.forward(origin, a)
+    for k, step in enumerate(neighbor_steps(U.d)):
+        nb = U.coords + step
+        j = data_sites.locate(nb)
+        mask = (j >= 0) & (U.locate(nb) < 0)
+        if np.any(mask):
+            w = env.neighbor_weights(U.coords[mask])[:, k]
             rhs[mask] += w[:, None] * block[j[mask]]
     return rhs[:, 0] if single else rhs
 
@@ -328,18 +310,13 @@ def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
     return h
 
 
-def apply_killed_laplacian(env: Conductances, S: SiteSet, values: np.ndarray) -> np.ndarray:
-    """(L_S v)(x) for v given over S (zero outside)."""
-    return killed_laplacian(env, S) @ np.asarray(values, dtype=np.float64)
-
-
 def equilibrium_measure(env: Conductances, A: SiteSet, B: SiteSet,
                         h: np.ndarray | None = None,
                         op: DirichletOperator | None = None) -> np.ndarray:
     """Killed equilibrium measure e_{A,B} on A (Laplacian flux of h_{A,B})."""
     if h is None:
         h = harmonic_potential(env, A, B, op=op)
-    flux = apply_killed_laplacian(env, B, h)
+    flux = killed_laplacian(env, B) @ h
     idx = B.locate(A.coords)
     if np.any(idx < 0):
         raise ValueError("A must be contained in B")
@@ -350,28 +327,12 @@ def dirichlet_form(env: Conductances, sites: SiteSet, f: np.ndarray,
                    g: np.ndarray | None = None) -> float:
     """Energy (1/2) sum over ordered neighbor pairs of w (df)(dg).
 
-    f, g live on `sites` and extend by zero; every edge with at least one
-    endpoint in `sites` contributes.
+    f, g live on `sites` and extend by zero, so every edge with at least
+    one endpoint in `sites` contributes: the energy is f^T L_S g.
     """
     f = np.asarray(f, dtype=np.float64)
     g = f if g is None else np.asarray(g, dtype=np.float64)
-    total = 0.0
-    for a in range(sites.d):
-        step = np.zeros(sites.d, dtype=np.int64)
-        step[a] = 1
-        # edges whose origin is a member
-        w = env.forward(sites.coords, a)
-        j = sites.locate(sites.coords + step)
-        f1 = np.where(j >= 0, f[np.maximum(j, 0)], 0.0)
-        g1 = np.where(j >= 0, g[np.maximum(j, 0)], 0.0)
-        total += float(np.sum(w * (f1 - f) * (g1 - g)))
-        # edges entering from a non-member origin (other endpoint zero)
-        back = sites.coords - step
-        outside = sites.locate(back) < 0
-        if np.any(outside):
-            w2 = env.forward(back[outside], a)
-            total += float(np.sum(w2 * f[outside] * g[outside]))
-    return total
+    return float(f @ (killed_laplacian(env, sites) @ g))
 
 
 def capacity(env: Conductances, A: SiteSet, B: SiteSet,
@@ -523,26 +484,12 @@ class WalkPath:
     total_time: float
 
 
-def _jump_distribution(env: Conductances, pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-walker neighbor weights (k, 2d) and site weights (k,)."""
-    d = pos.shape[1]
-    cols = []
-    for a in range(d):
-        step = np.zeros(d, dtype=np.int64)
-        step[a] = 1
-        cols.append(env.forward(pos, a))
-        cols.append(env.forward(pos - step, a))
-    w = np.stack(cols, axis=1)
-    return w, w.sum(axis=1)
-
-
-def _step_offsets(d: int) -> np.ndarray:
-    # matches the column order of _jump_distribution
-    out = np.zeros((2 * d, d), dtype=np.int64)
-    for a in range(d):
-        out[2 * a, a] = 1
-        out[2 * a + 1, a] = -1
-    return out
+def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Walker i at pos[i] takes step m of `neighbor_steps` for the first m
+    with u_i < c_m, c the cumulative sums of its neighbor weights w[i] and
+    u_i in [0, omega_i]: u_i = c_m takes step m + 1, u_i = omega_i the last."""
+    m = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
+    return pos + neighbor_steps(pos.shape[1])[np.minimum(m, w.shape[1] - 1)]
 
 
 def walk_simulate(env: Conductances, start, rules: StoppingRules,
@@ -562,7 +509,6 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
     skeleton = [pos.copy()]
     holdings: list[float] = []
     elapsed = 0.0
-    offsets = _step_offsets(env.d)
     for _ in range(max_steps):
         if rules.hit is not None and pos in rules.hit:
             return WalkPath(np.array(skeleton), np.array(holdings), "hit", elapsed)
@@ -571,9 +517,10 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
         if rules.radius is not None and np.abs(pos - origin).max() >= rules.radius:
             return WalkPath(np.array(skeleton), np.array(holdings), "radius", elapsed)
         try:
-            w, omega = _jump_distribution(env, pos[None, :])
+            w = env.neighbor_weights(pos[None, :])
         except ValueError as exc:
             raise SolverError("walk reached the environment window edge") from exc
+        omega = w.sum(axis=1)
         rate = 1.0 if mode == "csrw" else float(omega[0])
         zeta = rng.exponential(1.0 / rate)
         if rules.time_cap is not None and elapsed + zeta >= rules.time_cap:
@@ -581,10 +528,7 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
                             rules.time_cap)
         elapsed += zeta
         holdings.append(zeta)
-        u = rng.random() * omega[0]
-        k = int(np.searchsorted(np.cumsum(w[0]), u, side="right"))
-        k = min(k, 2 * env.d - 1)
-        pos = pos + offsets[k]
+        pos = _jump(pos[None, :], w, rng.random(1) * omega)[0]
         skeleton.append(pos.copy())
     raise SolverError("walk exceeded the step budget without stopping")
 
@@ -606,34 +550,23 @@ def hitting_frequency(env: Conductances, start, target: SiteSet,
     origin = pos.copy()
     active = np.ones(replicas, dtype=bool)
     hit = np.zeros(replicas, dtype=bool)
-    offsets = _step_offsets(d)
     for _ in range(max_steps):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]
         p = pos[idx]
-        now_hit = target.contains_mask(p)
-        hit[idx[now_hit]] = True
-        active[idx[now_hit]] = False
-        idx = idx[~now_hit]
-        p = p[~now_hit]
-        if idx.size and domain is not None:
-            out = ~domain.contains_mask(p)
-            active[idx[out]] = False
-            idx = idx[~out]
-            p = p[~out]
-        if idx.size and radius is not None:
-            far = np.abs(p - origin[idx]).max(axis=1) >= radius
-            active[idx[far]] = False
-            idx = idx[~far]
-            p = p[~far]
+        stop = target.contains_mask(p)
+        hit[idx[stop]] = True
+        if domain is not None:
+            stop |= ~domain.contains_mask(p)
+        if radius is not None:
+            stop |= np.abs(p - origin[idx]).max(axis=1) >= radius
+        active[idx[stop]] = False
+        idx, p = idx[~stop], p[~stop]
         if not idx.size:
             continue
-        w, omega = _jump_distribution(env, p)
-        u = rng.random(idx.size)[:, None] * omega[:, None]
-        choice = (np.cumsum(w, axis=1) <= u).sum(axis=1)
-        choice = np.minimum(choice, 2 * d - 1)
-        pos[idx] = p + offsets[choice]
+        w = env.neighbor_weights(p)
+        pos[idx] = _jump(p, w, rng.random(idx.size) * w.sum(axis=1))
     else:
         raise SolverError("batched walk exceeded the step budget")
     freq = hit.mean()

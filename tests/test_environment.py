@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfflab.environment import Conductances, EnvironmentLaw, sample_environment
-from gfflab.lattice import box_sites
+from gfflab.lattice import box_sites, neighbor_steps
 
 WINDOW = box_sites([-3, -3, -3], [3, 3, 3])
 
@@ -122,6 +122,19 @@ def test_site_weight_mixed():
         total += env.edge_weight(x, x + e) + env.edge_weight(x, x - e)
     assert env.site_weight(x) == pytest.approx(total)
     assert 3.0 <= env.site_weight(x) <= 6.0
+
+
+def test_neighbor_weights_follow_the_step_table():
+    env = sample_environment(EnvironmentLaw.iid_uniform(0.5, 1.0), WINDOW, 2, lam=0.5)
+    steps = neighbor_steps(3)
+    eye = np.eye(3, dtype=np.int64)
+    assert np.array_equal(steps[0::2], eye) and np.array_equal(steps[1::2], -eye)
+    X = WINDOW.coords
+    nw = env.neighbor_weights(X)
+    assert nw.shape == (len(X), 6)
+    for k, s in enumerate(steps):
+        assert np.array_equal(nw[:, k], [env.edge_weight(x, x + s) for x in X])
+    assert np.array_equal(nw.sum(axis=1), env.site_weights(X))
 
 
 def test_save_load_round_trip(tmp_path):

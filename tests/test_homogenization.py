@@ -333,6 +333,20 @@ def test_importance_weights_summed_in_log_domain(monkeypatch):
                 math.sqrt((raw2 / 300 - raw.mean() ** 2) / 300), rel=1e-9)
     assert (np.exp(seen[1][0]) ** 2).sum() == 0.0  # the strong tilt underflows
 
+    # a tilt of entropy 5000, under which the estimate itself underflows to
+    # 0: the rate proxy comes from the log estimate, logsumexp - log n
+    seen.clear()
+    rep = disconnection_rate_experiment(
+        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.35,
+        epsilon=math.sqrt(2 * 5000.0 / cap), delta_shell=0.25, N=4,
+        direct_replicas=10, tilted_replicas=300, seed=25, lam=0.5,
+        instance=inst)
+    (lw, disc), = seen
+    assert rep.is_estimate == 0.0 and disc.any()
+    log_est = logsumexp(lw[disc]) - math.log(300)
+    assert math.isfinite(rep.rate_proxy_is)
+    assert rep.rate_proxy_is == pytest.approx(-4.0 ** (2 - 3) * log_est, rel=1e-12)
+
 
 def test_disconnection_geometry_guards():
     with pytest.raises(ValueError):

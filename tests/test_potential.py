@@ -4,12 +4,14 @@ import scipy.linalg as sla
 from scipy.linalg import lapack
 
 from gfflab.environment import EnvironmentLaw, sample_environment
-from gfflab.lattice import SiteSet, ball, boundary, box_sites
+from gfflab.lattice import SiteSet, ball, boundary, box_sites, neighbor_steps
 from gfflab.potential import (
     DirichletOperator,
     SolverError,
     StoppingRules,
     _band_back_substitute,
+    _jump,
+    boundary_flux_rhs,
     capacity,
     capacity_unkilled_approx,
     dirichlet_form,
@@ -443,6 +445,36 @@ def test_sample_gaussian_reproducible_and_guarded(env):
     op._chol_band[-1, 5] = 0.0
     with pytest.raises(SolverError):
         op.sample_gaussian(stream(18, "s"), 1)
+
+
+def test_boundary_flux_rhs_is_a_killed_laplacian_block(env):
+    # rhs = -L_V[U, D \ U] v with V = U u D: U has a hole at the origin, the
+    # data sit in the hole, beyond every face and on U itself (unused there)
+    U = ball([0, 0, 0], 2).difference(SiteSet([[0, 0, 0]]))
+    outer = ball([0, 0, 0], 3)
+    keep = stream(30, "flux-sites").random(len(outer)) < 0.6
+    D = SiteSet(np.vstack([outer.coords[keep], [[0, 0, 0]], 3 * neighbor_steps(3)]))
+    V = U.union(D)
+    L = killed_laplacian(env, V).toarray()
+    ext = D.difference(U)
+    block = -L[np.ix_(V.locate(U.coords), V.locate(ext.coords))]
+    v = stream(30, "flux-values").standard_normal((len(D), 2))
+    expect = block @ v[D.locate(ext.coords)]
+    for values, ref in ((v, expect), (v[:, 1], expect[:, 1])):
+        rhs = boundary_flux_rhs(env, U, D, values)
+        assert rhs.shape == ref.shape
+        assert np.abs(rhs - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_jump_rule_at_cumulative_weight_boundaries():
+    # dyadic weights, so the cumulative sums c_m and omega = c_5 are exact
+    w = np.array([0.5, 0.25, 1.0, 0.125, 0.75, 0.375])
+    c = np.cumsum(w)
+    u = np.concatenate([[0.0], c[:-1], c[:-1] - 2.0 ** -10, [c[-1]]])
+    step = np.concatenate([[0], np.arange(1, 6), np.arange(5), [5]])
+    pos = np.tile([2, -1, 0], (len(u), 1))
+    moved = _jump(pos, np.tile(w, (len(u), 1)), u)
+    assert np.array_equal(moved, pos + neighbor_steps(3)[step])
 
 
 def test_incidence_factor_identity(env):
