@@ -46,13 +46,7 @@ from .streams import stream
 
 EXIT_OK, EXIT_CONFIG, EXIT_SOLVER, EXIT_GEOMETRY = 0, 2, 3, 4
 
-DEFAULT_TOLERANCES = {
-    "solver_residual": 1e-10,
-    "heat_kernel_tol": 1e-12,
-    "se_unit": 5.0,
-    "se_cross": 3.0,
-    "green_const": 1.0,
-}
+DEFAULT_TOLERANCES = {"green_const": 1.0}
 
 
 def config_hash(config: dict) -> str:
@@ -122,6 +116,10 @@ def validate(config: dict, command: str | None = None) -> list[str]:
         bad.append("lambda must lie in (0, 1)")
     if "master_seed" not in config or not isinstance(config["master_seed"], int):
         bad.append("master_seed must be an integer")
+    tol = config.get("tolerances", {})
+    if not isinstance(tol, dict) or set(tol) - set(DEFAULT_TOLERANCES):
+        bad.append(f"tolerances: keys must be among {sorted(DEFAULT_TOLERANCES)}, "
+                   f"got {tol!r}")
     if "law" not in config:
         bad.append("missing law specification")
     else:
@@ -139,7 +137,7 @@ def validate(config: dict, command: str | None = None) -> list[str]:
         if missing:
             bad.extend(missing)
             continue
-        if name in ("homogenize", "disconnect", "repulsion"):
+        if name in ("homogenize", "disconnect"):
             try:
                 A = shape_from_spec(sec["A"])
                 loA, hiA = A.bounds()
@@ -154,10 +152,9 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                         bad.append(f"{name}: bounding box of A escapes B")
                 except ValueError as exc:
                     bad.append(f"{name}.B: {exc}")
-            if name in ("disconnect", "repulsion"):
-                M = sec.get("M", 0)
-                if max(abs(float(v)) for v in np.concatenate([loA, hiA])) >= M:
-                    bad.append(f"{name}: A must sit strictly inside the M-box")
+            if name == "disconnect":
+                if max(abs(float(v)) for v in np.concatenate([loA, hiA])) >= sec["M"]:
+                    bad.append("disconnect: A must sit strictly inside the M-box")
         if name == "scales":
             from .interfaces import scale_system
             try:
@@ -377,18 +374,16 @@ class Runner:
 
     def run_disconnect(self) -> None:
         sec = self.config["disconnect"]
-        A = shape_from_spec(sec["A"])
         B = shape_from_spec(sec["B"]) if "B" in sec else None
         # one environment, factor and tilt solve serve both experiments
-        inst = _DisconnectionInstance(self.law, A, sec["M"], sec["N"],
-                                      lam=self.lam, seed=self.seed, B_shape=B,
-                                      d=self.d)
+        inst = _DisconnectionInstance(self.law, shape_from_spec(sec["A"]),
+                                      sec["M"], sec["N"], self.lam, self.seed,
+                                      B_shape=B, d=self.d)
+        tilt = (sec["alpha"], sec["alpha_star_ref"], sec["epsilon"],
+                sec.get("delta_shell", 0.0))
         report = disconnection_rate_experiment(
-            self.law, A, sec["M"], sec["alpha"], sec["alpha_star_ref"],
-            sec["epsilon"], sec.get("delta_shell", 0.0), sec["N"],
-            sec["direct_replicas"], sec["tilted_replicas"], self.seed,
-            lam=self.lam, B_shape=B, eps_ladder=sec.get("eps_ladder"),
-            d=self.d, instance=inst)
+            inst, *tilt, sec["direct_replicas"], sec["tilted_replicas"],
+            eps_ladder=sec.get("eps_ladder"))
         rows = [[p.epsilon, p.tilted_freq, p.tilted_se, p.is_estimate,
                  p.is_se, p.ess, p.entropy_H] for p in report.ladder]
         write_csv(self._record("disconnect_ladder.csv"),
@@ -398,11 +393,8 @@ class Runner:
         with open(self._record("disconnect_summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=float)
         if "eta" in sec:
-            rep = repulsion_experiment(
-                self.law, A, sec["M"], sec["alpha"], sec["alpha_star_ref"],
-                sec["epsilon"], sec.get("delta_shell", 0.0), sec["N"],
-                sec["tilted_replicas"], self.seed, sec["eta"], sec["Delta"],
-                lam=self.lam, B_shape=B, d=self.d, instance=inst)
+            rep = repulsion_experiment(inst, *tilt, sec["tilted_replicas"],
+                                       sec["eta"], sec["Delta"])
             with open(self._record("repulsion_summary.json"), "w") as fh:
                 json.dump(rep.__dict__, fh, indent=2, sort_keys=True,
                           default=float)

@@ -6,6 +6,14 @@ Each Dirichlet problem is solved once: one potential h_{A_N,B_N} per
 scale gives both the capacity and the pairing <h, eta>, and one unit tilt
 profile serves every strength of a disconnection epsilon ladder.
 
+A `_DisconnectionInstance` is the unit of a disconnection run: it holds
+the environment, the geometry (A_N, S_N, B_N, the M N box), the box's
+operator and the seed of every draw stream. Both experiments read all of
+these from the instance alone, so one instance serves `gfflab
+disconnect` whole. Their Monte Carlo loops draw `CHUNK` fields per block
+through `percolation._draw_blocks`; the chunk fixes which normals each
+draw consumes, so it is a constant of the outputs, not a knob.
+
 All "as N grows" statements are rendered as Cauchy/trend verdicts over a
 finite ladder of scales; nothing here certifies an asymptotic constant.
 """
@@ -19,11 +27,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import blow_up, box_sites, linf_box, linf_sphere
-from .environment import Conductances, EnvironmentLaw, environment_for_sites, sample_environment
-from .potential import (DirichletOperator, SolverError, _jump, dirichlet_form,
+from .environment import EnvironmentLaw, environment_for_sites, sample_environment
+from .potential import (DirichletOperator, SolverError, _jump, capacity,
                         harmonic_potential)
-from .gff import sample_matrix, tilt_log_weights
-from .percolation import _seed_clusters
+from .gff import tilt_log_weights
+from .percolation import _draw_blocks, _seed_clusters
 from .streams import binomial_se, stream
 
 
@@ -157,7 +165,7 @@ def capacity_scaling(law: EnvironmentLaw, lam: float, A, B, N_list, seed: int,
         U = B_N.difference(A_N)
         op = DirichletOperator(env, U) if not U.is_empty else None
         h = harmonic_potential(env, A_N, B_N, op=op)
-        cap = dirichlet_form(env, B_N, h)
+        cap = capacity(env, A_N, B_N, h=h)
         dt = time.perf_counter() - t0
         d = A_N.d
         pairing = (None if eta is None
@@ -332,24 +340,24 @@ class DisconnectionReport:
     ladder: list = field(default_factory=list)
 
 
-class _DisconnectionInstance:
-    """Shared geometry, operator and event kernel for one (A, M, N)."""
+CHUNK = 500  # draws per block of every disconnection and repulsion loop
 
-    def __init__(self, env_or_law, A_shape, M: float, N: int, lam=None,
-                 seed: int = 0, B_shape=None, d: int = 3):
+
+class _DisconnectionInstance:
+    """Environment, geometry, operator, seed and event kernel of one
+    disconnection run: the environment of `law` keyed by `seed` on the
+    M N box, A_N and the shell S_N, and the killing region B_N (default
+    the M-box)."""
+
+    def __init__(self, law: EnvironmentLaw, A_shape, M: float, N: int,
+                 lam: float, seed: int, B_shape=None, d: int = 3):
         self.N = int(N)
         self.M = float(M)
+        self.seed = int(seed)
         self.A_shape = A_shape
         self.radius = int(math.floor(M * N))
         self.domain = box_sites([-self.radius] * d, [self.radius] * d)
-        if isinstance(env_or_law, Conductances):
-            self.env = env_or_law
-            if not self.domain.issubset(self.env.window):
-                raise ValueError("environment window too small for the box")
-        else:
-            if lam is None:
-                raise ValueError("a law needs the ellipticity parameter lam")
-            self.env = environment_for_sites(env_or_law, self.domain, seed, lam)
+        self.env = environment_for_sites(law, self.domain, seed, lam)
         self.A_N = blow_up(A_shape, N, d=d)
         self.S_N = linf_sphere(self.radius, d)
         if self.A_N.is_empty:
@@ -372,9 +380,8 @@ class _DisconnectionInstance:
         delta-inflated A_N killed outside B_N, and its Dirichlet energy.
         Solved once per delta_shell; callers scale, never modify, it."""
         if delta_shell not in self._tilts:
-            A = self.A_shape
-            Ad_N = blow_up(A.inflate(delta_shell) if delta_shell > 0 else A,
-                           self.N, d=self.domain.d)
+            A = self.A_shape.inflate(delta_shell) if delta_shell > 0 else self.A_shape
+            Ad_N = blow_up(A, self.N, d=self.domain.d)
             if not Ad_N.issubset(self.B_N):
                 raise ValueError("inflated set escapes the killing region")
             h = harmonic_potential(self.env, Ad_N, self.B_N)
@@ -387,16 +394,6 @@ class _DisconnectionInstance:
         """Bool per column: no level-set path from A_N to the shell."""
         mask = (fields >= alpha).T.reshape((fields.shape[1],) + self._shape)
         return ~_seed_clusters(mask, self._seed)[self._target].any(axis=1)
-
-
-def _shared_instance(instance, env_or_law, A_shape, M, N, lam, seed, B_shape,
-                     d) -> _DisconnectionInstance:
-    if instance is None:
-        return _DisconnectionInstance(env_or_law, A_shape, M, N, lam=lam,
-                                      seed=seed, B_shape=B_shape, d=d)
-    if (instance.M, instance.N) != (float(M), int(N)):
-        raise ValueError("instance was built for another (M, N)")
-    return instance
 
 
 def _shifted_weights(logw: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, float]:
@@ -423,14 +420,10 @@ def _unshift(x: float, top: float) -> float:
     return math.exp(v) if v < _LOG_MAX else math.inf
 
 
-def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
+def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
                                   alpha_star_ref: float, epsilon: float,
-                                  delta_shell: float, N: int,
-                                  direct_replicas: int, tilted_replicas: int,
-                                  seed: int, lam: float | None = None,
-                                  B_shape=None, eps_ladder=None,
-                                  chunk: int = 500, d: int = 3,
-                                  instance: _DisconnectionInstance | None = None
+                                  delta_shell: float, direct_replicas: int,
+                                  tilted_replicas: int, eps_ladder=None
                                   ) -> DisconnectionReport:
     """Direct and entropically tilted estimation of the probability that
     the level set disconnects the blown-up set from the enclosing shell.
@@ -439,19 +432,13 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
     times the harmonic potential of the inflated set, the finite-size
     stand-in for the construction behind the large-deviation lower
     bound; likelihood ratios are exact, so the importance-sampling
-    estimator is unbiased for any epsilon. An `instance` built for the
-    same (law, A, M, N, seed) replaces building one, with its tilt.
+    estimator is unbiased for any epsilon. Environment, geometry and
+    seed all come from `inst`, whose tilt profile is solved once.
     """
-    inst = _shared_instance(instance, env_or_law, A_shape, M, N, lam, seed,
-                            B_shape, d)
+    N, M, d, seed = inst.N, inst.M, inst.domain.d, inst.seed
     rng = stream(seed, "disconnect-direct")
-    hits = 0
-    done = 0
-    while done < direct_replicas:
-        k = min(chunk, direct_replicas - done)
-        block = sample_matrix(inst.env, inst.domain, k, rng, op=inst.op)
-        hits += int(inst.disconnected(block, alpha).sum())
-        done += k
+    hits = sum(int(inst.disconnected(block, alpha).sum())
+               for block in _draw_blocks(inst.op, rng, direct_replicas, CHUNK))
     p_direct = hits / direct_replicas
     se_direct = binomial_se(p_direct, direct_replicas)
 
@@ -467,13 +454,10 @@ def disconnection_rate_experiment(env_or_law, A_shape, M: float, alpha: float,
         H = 0.5 * strength ** 2 * cap_tilt
         trng = stream(seed, "disconnect-tilted", repr(float(eps)))
         logws, discs = [], []
-        done_t = 0
-        while done_t < tilted_replicas:
-            k = min(chunk, tilted_replicas - done_t)
-            block = sample_matrix(inst.env, inst.domain, k, trng, op=inst.op) + f[:, None]
+        for block in _draw_blocks(inst.op, trng, tilted_replicas, CHUNK):
+            block += f[:, None]
             discs.append(inst.disconnected(block, alpha))
             logws.append(tilt_log_weights(inst.env, inst.domain, f, block, op=inst.op))
-            done_t += k
         disc = np.concatenate(discs)
         wd, top = _shifted_weights(np.concatenate(logws), disc)
         wsum = float(wd.sum())
@@ -538,14 +522,10 @@ class RepulsionReport:
     delta: float
 
 
-def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
+def repulsion_experiment(inst: _DisconnectionInstance, alpha: float,
                          alpha_star_ref: float, epsilon: float,
-                         delta_shell: float, N: int, tilted_replicas: int,
-                         seed: int, eta_spec: dict, Delta: float,
-                         lam: float | None = None, B_shape=None,
-                         chunk: int = 500, se_mult: float = 5.0,
-                         d: int = 3,
-                         instance: _DisconnectionInstance | None = None
+                         delta_shell: float, tilted_replicas: int,
+                         eta_spec: dict, Delta: float, se_mult: float = 5.0
                          ) -> RepulsionReport:
     """Behavior of the macroscopic field average under the tilted law.
 
@@ -553,10 +533,9 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
     unconditional tilted mean matches the deterministic tilt pairing,
     and reports the disconnection-conditioned, reweighted mean next to
     the finite-volume profile pairing -(ref - alpha) <h_{A_N,B_N}, eta>.
-    An `instance` is used as in `disconnection_rate_experiment`.
+    `inst` is the only source of environment, geometry and seed.
     """
-    inst = _shared_instance(instance, env_or_law, A_shape, M, N, lam, seed,
-                            B_shape, d)
+    N, d = inst.N, inst.domain.d
     eta = eta_from_spec(eta_spec)
     eta_tilde = eta(inst.domain.coords / float(N)) / float(N) ** d
     g, _ = inst.tilt_function(delta_shell)
@@ -565,18 +544,13 @@ def repulsion_experiment(env_or_law, A_shape, M: float, alpha: float,
     eta_on_B = eta(inst.B_N.coords / float(N)) / float(N) ** d
     profile_pairing = -(alpha_star_ref - alpha) * float(np.sum(h_A * eta_on_B))
 
-    trng = stream(seed, "repulsion-tilted")
-    pair_vals = []
-    disc_flags = []
-    logws = []
-    done_t = 0
-    while done_t < tilted_replicas:
-        k = min(chunk, tilted_replicas - done_t)
-        block = sample_matrix(inst.env, inst.domain, k, trng, op=inst.op) + f[:, None]
+    trng = stream(inst.seed, "repulsion-tilted")
+    pair_vals, disc_flags, logws = [], [], []
+    for block in _draw_blocks(inst.op, trng, tilted_replicas, CHUNK):
+        block += f[:, None]
         pair_vals.append(block.T @ eta_tilde)
         disc_flags.append(inst.disconnected(block, alpha))
         logws.append(tilt_log_weights(inst.env, inst.domain, f, block, op=inst.op))
-        done_t += k
     pair = np.concatenate(pair_vals)
     disc = np.concatenate(disc_flags)
     wd, top = _shifted_weights(np.concatenate(logws), disc)

@@ -19,6 +19,7 @@ from .lattice import SiteSet, as_coords, ball, boundary
 from .environment import Conductances
 from .potential import (
     DirichletOperator,
+    capacity,
     dirichlet_form,
     harmonic_potential,
     hitting_frequency,
@@ -393,7 +394,7 @@ def escape_probability(env: Conductances, A_N: SiteSet, Sigma: SiteSet,
         return EscapeReport(1.0, np.ones(len(A_N)), 0.0)
     h = harmonic_potential(env, Sigma, B_env, op=op)
     vals = 1.0 - h[B_env.locate(A_N.coords)]
-    cap_sigma = dirichlet_form(env, B_env, h)
+    cap_sigma = capacity(env, Sigma, B_env, h=h)
     lo, hi = B_env.bounding_box()
     slo, shi = Sigma.bounding_box()
     dist = max(int(min(np.min(shi - lo), np.min(hi - slo))), 1)
@@ -420,8 +421,8 @@ def capacity_ratio_check(env: Conductances, A_N: SiteSet, Sigma: SiteSet,
     Dirichlet-difference bookkeeping term."""
     hS = harmonic_potential(env, Sigma, B_env)
     hA = harmonic_potential(env, A_N, B_env)
-    cap_S = dirichlet_form(env, B_env, hS)
-    cap_A = dirichlet_form(env, B_env, hA)
+    cap_S = capacity(env, Sigma, B_env, h=hS)
+    cap_A = capacity(env, A_N, B_env, h=hA)
     inf_hit = float(hS[B_env.locate(A_N.coords)].min())
     slack = cap_S - inf_hit * cap_A
     gap = dirichlet_form(env, B_env, hA - hS) - (cap_S - cap_A)

@@ -11,6 +11,12 @@ the disconnection event of `homogenization` are one reduction of its
 output each. `components()` labels a level set of any SiteSet on the
 grid of its bounding box, which serves `is_connected` and the box
 classification.
+
+Every Monte Carlo estimator draws its fields through one loop,
+`_draw_blocks`: `replicas` draws from one operator, in blocks of at most
+`chunk` columns. A block of k draws consumes k * n normals at once, so
+the chunk of a call site fixes which draw sees which normals and is part
+of the site's output; each site keeps its own.
 """
 
 from __future__ import annotations
@@ -133,6 +139,15 @@ def _seed_clusters(mask: np.ndarray, seed) -> np.ndarray:
     return mask
 
 
+def _draw_blocks(op: DirichletOperator, rng: np.random.Generator,
+                 replicas: int, chunk: int):
+    """Yield `replicas` field draws on op's domain as (n, k) blocks of
+    k = min(chunk, draws left) columns, from successive normals of rng."""
+    for done in range(0, replicas, chunk):
+        yield sample_matrix(op.env, op.sites, min(chunk, replicas - done),
+                            rng, op=op)
+
+
 # ---------------------------------------------------------------------------
 # Crossing probability and connectivity function estimators
 
@@ -156,8 +171,8 @@ class CrossingSweep:
 
 
 def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
-                         seed: int, padding: int = 4,
-                         chunk: int = 256) -> "CrossingEstimate | CrossingSweep":
+                         seed: int, padding: int = 4
+                         ) -> "CrossingEstimate | CrossingSweep":
     """Monte Carlo frequency of {B(x,L) <-> boundary of B(x,2L)} in the
     level set, with binomial standard errors.
 
@@ -183,16 +198,11 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         target = (slice(None),) + tuple(
             (linf_sphere(2 * Lv, env.d, center=x).coords - lo).T)
         op = DirichletOperator(env, domain)
-        rng = stream(seed, "crossing", Lv)
         hits = np.zeros(len(alphas), dtype=np.int64)
-        done = 0
-        while done < replicas:
-            k = min(chunk, replicas - done)
-            block = sample_matrix(env, domain, k, rng, op=op)
+        for block in _draw_blocks(op, stream(seed, "crossing", Lv), replicas, 256):
             for ia, av in enumerate(alphas):
-                mask = (block >= av).T.reshape((k,) + shape)
+                mask = (block >= av).T.reshape((block.shape[1],) + shape)
                 hits[ia] += _seed_clusters(mask, inner)[target].any(axis=1).sum()
-            done += k
         for ia, av in enumerate(alphas):
             p = hits[ia] / replicas
             results.append(CrossingEstimate(float(av), Lv, float(p),
@@ -228,8 +238,8 @@ class ConnectivityReport:
 
 
 def connectivity_function(env: Conductances, alpha: float, x, z_list, L: int,
-                          replicas: int, seed: int, padding: int = 4,
-                          chunk: int = 256) -> ConnectivityReport:
+                          replicas: int, seed: int, padding: int = 4
+                          ) -> ConnectivityReport:
     """Two-point function P[x <-> x+z in the level set], one estimate per
     displacement, plus the fitted exponential decay rate of log p in
     |z|_inf (reported for comparison with stretched-exponential forms)."""
@@ -240,19 +250,14 @@ def connectivity_function(env: Conductances, alpha: float, x, z_list, L: int,
     if not domain.issubset(env.window):
         raise ValueError("environment window too small for the displacement list")
     op = DirichletOperator(env, domain)
-    rng = stream(seed, "connectivity")
     lo, hi = domain.bounding_box()
     shape = tuple(hi - lo + 1)
     hits = np.zeros(len(zs), dtype=np.int64)
     x_idx = tuple(x - lo)
     z_idx = (slice(None),) + tuple((np.array(zs) + x - lo).T)
-    done = 0
-    while done < replicas:
-        k = min(chunk, replicas - done)
-        block = sample_matrix(env, domain, k, rng, op=op)
-        mask = (block >= alpha).T.reshape((k,) + shape)
+    for block in _draw_blocks(op, stream(seed, "connectivity"), replicas, 256):
+        mask = (block >= alpha).T.reshape((block.shape[1],) + shape)
         hits += _seed_clusters(mask, x_idx)[z_idx].sum(axis=0)
-        done += k
     ests = []
     for iz, z in enumerate(zs):
         p = hits[iz] / replicas
@@ -392,8 +397,8 @@ class DecouplingReport:
 
 def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
                      K2: SiteSet, delta: float, event1, event2,
-                     replicas: int, seed: int, se_mult: float = 3.0,
-                     chunk: int = 512) -> DecouplingReport:
+                     replicas: int, seed: int, se_mult: float = 3.0
+                     ) -> DecouplingReport:
     """Two-sided comparison of the joint law of increasing events on
     disjoint boxes against the product law at sprinkled levels.
 
@@ -410,20 +415,14 @@ def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
     if not K1.intersection(K2).is_empty:
         raise ValueError("event boxes must be disjoint")
     op = DirichletOperator(env, domain)
-    rng = stream(seed, "decoupling")
-    n1 = n12 = 0
-    n2m = n2p = 0
-    done = 0
-    while done < replicas:
-        k = min(chunk, replicas - done)
-        block = sample_matrix(env, domain, k, rng, op=op)
+    n1 = n12 = n2m = n2p = 0
+    for block in _draw_blocks(op, stream(seed, "decoupling"), replicas, 512):
         e1 = event1(block)
         e2 = event2(block)
         n1 += int(e1.sum())
         n12 += int((e1 & e2).sum())
         n2m += int(event2(block - delta).sum())
         n2p += int(event2(block + delta).sum())
-        done += k
     p1, p12 = n1 / replicas, n12 / replicas
     p2m, p2p = n2m / replicas, n2p / replicas
 

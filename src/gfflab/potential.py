@@ -14,6 +14,12 @@ Edges are enumerated in two places, both in the step order of
 the 2d edge weights at each site (for site weights, boundary data and
 walk steps). Dirichlet energies are quadratic forms of L_U.
 
+Capacities are read from the flux on A: the equilibrium measure is
+(L_B h)(x) = sum_y omega_{x,y} (h(x) - h(y)) at each x of A, taken from
+the neighbor weights of A alone, and cap_B(A) is its sum. Since h is
+harmonic off A and 1 on A, that sum is the energy h^T L_B h, with no
+matrix assembled on B.
+
 Solver policy: exact sparse factorization (SuperLU, symmetric mode) up
 to `factor_limit` unknowns, Jacobi-preconditioned conjugate gradients
 beyond.
@@ -79,15 +85,13 @@ class DirichletOperator:
 
     def __init__(self, env: Conductances, U: SiteSet, *,
                  factor_limit: int = DEFAULT_FACTOR_LIMIT,
-                 banded_limit: int = DEFAULT_BANDED_LIMIT,
-                 cg_tol: float = DEFAULT_CG_TOL):
+                 banded_limit: int = DEFAULT_BANDED_LIMIT):
         if U.is_empty:
             raise ValueError("domain must be non-empty")
         self.env = env
         self.sites = U
         self.matrix = killed_laplacian(env, U)
         self.n = len(U)
-        self.cg_tol = cg_tol
         self.banded_limit = banded_limit
         off = self.matrix.tocoo()
         self.bandwidth = int(np.abs(off.row - off.col).max()) if off.nnz else 0
@@ -123,7 +127,7 @@ class DirichletOperator:
         precond = spla.LinearOperator((self.n, self.n), matvec=lambda v: inv_diag * v)
         cols = []
         for k in range(block.shape[1]):
-            x, info = spla.cg(self.matrix, block[:, k], rtol=self.cg_tol,
+            x, info = spla.cg(self.matrix, block[:, k], rtol=DEFAULT_CG_TOL,
                               atol=0.0, M=precond, maxiter=20 * self.n)
             if info != 0:
                 raise SolverError(f"conjugate gradients failed to converge (info={info})")
@@ -313,14 +317,16 @@ def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
 def equilibrium_measure(env: Conductances, A: SiteSet, B: SiteSet,
                         h: np.ndarray | None = None,
                         op: DirichletOperator | None = None) -> np.ndarray:
-    """Killed equilibrium measure e_{A,B} on A (Laplacian flux of h_{A,B})."""
-    if h is None:
-        h = harmonic_potential(env, A, B, op=op)
-    flux = killed_laplacian(env, B) @ h
+    """Killed equilibrium measure e_{A,B} on A: the flux (L_B h)(x) of
+    h = h_{A,B} (zero off B) out of each x in A, over the edges at x."""
     idx = B.locate(A.coords)
     if np.any(idx < 0):
         raise ValueError("A must be contained in B")
-    return flux[idx]
+    if h is None:
+        h = harmonic_potential(env, A, B, op=op)
+    nb = B.locate((A.coords[:, None, :] + neighbor_steps(A.d)).reshape(-1, A.d))
+    h_nb = np.where(nb >= 0, h[nb], 0.0).reshape(len(A), -1)
+    return (env.neighbor_weights(A.coords) * (h[idx][:, None] - h_nb)).sum(axis=1)
 
 
 def dirichlet_form(env: Conductances, sites: SiteSet, f: np.ndarray,
@@ -338,10 +344,9 @@ def dirichlet_form(env: Conductances, sites: SiteSet, f: np.ndarray,
 def capacity(env: Conductances, A: SiteSet, B: SiteSet,
              op: DirichletOperator | None = None,
              h: np.ndarray | None = None) -> float:
-    """cap_B(A) as the Dirichlet energy of the harmonic potential."""
-    if h is None:
-        h = harmonic_potential(env, A, B, op=op)
-    return dirichlet_form(env, B, h)
+    """cap_B(A), the total mass of the equilibrium measure; equal to the
+    Dirichlet energy of the harmonic potential h (given or solved)."""
+    return float(equilibrium_measure(env, A, B, h=h, op=op).sum())
 
 
 def energy_W(env: Conductances, U: SiteSet, h: np.ndarray,

@@ -298,9 +298,8 @@ def test_criterion_10_disconnection_pipeline():
             alpha = cand
             break
     rep = disconnection_rate_experiment(
-        inst.env, A, M=2.0, alpha=alpha, alpha_star_ref=alpha + 0.15,
-        epsilon=0.05, delta_shell=1.0 / 6.0, N=6,
-        direct_replicas=100_000, tilted_replicas=10_000, seed=10,
+        inst, alpha=alpha, alpha_star_ref=alpha + 0.15, epsilon=0.05,
+        delta_shell=1.0 / 6.0, direct_replicas=100_000, tilted_replicas=10_000,
         eps_ladder=[0.05, 0.6, 1.2, 2.0])
     hits = rep.direct_estimate * rep.direct_replicas
     enough_hits = hits >= 100

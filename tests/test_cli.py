@@ -32,6 +32,15 @@ def test_validate_ok(tmp_path):
     assert main(["validate", "--config", path]) == 0
 
 
+def test_validate_rejects_unknown_tolerances(tmp_path):
+    cfg = _base(tmp_path)
+    cfg["tolerances"] = {"green_const": 2.0}
+    assert main(["validate", "--config", _write(tmp_path, cfg)]) == 0
+    cfg["tolerances"] = {"se_unit": 3.0}
+    assert any("se_unit" in s for s in validate(cfg))
+    assert main(["validate", "--config", _write(tmp_path, cfg)]) == 2
+
+
 def test_validate_diagnostics():
     bad = {"dimension": 2, "lambda": 1.5, "law": {"kind": "nope"}}
     issues = validate(bad)

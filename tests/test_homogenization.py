@@ -7,7 +7,7 @@ from scipy.special import logsumexp
 
 from gfflab.cli import main
 from gfflab.environment import EnvironmentLaw, environment_for_sites
-from gfflab import homogenization
+from gfflab import homogenization, potential
 from gfflab.homogenization import (
     _DisconnectionInstance,
     _shifted_weights,
@@ -117,6 +117,20 @@ def test_capacity_scaling_small_ladder():
     assert sweep.results[0].backend == "splu"
 
 
+def test_capacity_scaling_assembles_one_laplacian_per_scale(monkeypatch):
+    assembled = []
+    plain = potential.killed_laplacian
+
+    def spy(env, U):
+        assembled.append(len(U))
+        return plain(env, U)
+
+    monkeypatch.setattr(potential, "killed_laplacian", spy)
+    sweep = capacity_scaling(RANDOM, 0.5, euclidean_ball([0, 0, 0], 0.5),
+                             euclidean_ball([0, 0, 0], 2.0), [4, 6], seed=3)
+    assert assembled == [r.unknowns for r in sweep.results]
+
+
 def test_capacity_scaling_guards():
     with pytest.raises(ValueError):
         capacity_scaling(CONST, 0.5, euclidean_ball([0, 0, 0], 0.5),
@@ -179,28 +193,30 @@ def test_each_dirichlet_problem_is_solved_once(tmp_path, monkeypatch):
     # one tilt solve serves the whole epsilon ladder
     solves.clear()
     rep = disconnection_rate_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
-        delta_shell=0.25, N=4, direct_replicas=50, tilted_replicas=50,
-        seed=22, lam=0.5, eps_ladder=[0.05, 0.8, 1.6])
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=22),
+        alpha=0.35, alpha_star_ref=0.5, epsilon=0.05, delta_shell=0.25,
+        direct_replicas=50, tilted_replicas=50, eps_ladder=[0.05, 0.8, 1.6])
     assert len(rep.ladder) == 3 and len(solves) == 1
 
     # one instance and tilt serve both experiments of `gfflab disconnect`,
     # with the outputs of two unshared experiments
     solves.clear()
-    geometry = dict(M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
-                    delta_shell=0.25, N=4, tilted_replicas=60)
-    cfg["disconnect"] = dict(geometry, A=cfg["homogenize"]["A"],
+    geometry = dict(alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
+                    delta_shell=0.25, tilted_replicas=60)
+    cfg["disconnect"] = dict(geometry, A=cfg["homogenize"]["A"], M=1.5, N=4,
                              direct_replicas=60, eta=bump, Delta=0.05)
     path.write_text(json.dumps(cfg))
     out = tmp_path / "disc"
     assert main(["disconnect", "--config", str(path), "--out", str(out)]) == 0
     assert len(solves) == 2  # the tilt profile and h_{A_N,B_N}
-    alone = disconnection_rate_experiment(RANDOM, A_SHAPE, direct_replicas=60,
-                                          seed=42, lam=0.5, **geometry)
+
+    def instance():
+        return _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=42)
+
+    alone = disconnection_rate_experiment(instance(), direct_replicas=60, **geometry)
     summary = json.loads((out / "disconnect_summary.json").read_text())
     assert summary == {k: v for k, v in alone.__dict__.items() if k != "ladder"}
-    alone = repulsion_experiment(RANDOM, A_SHAPE, seed=42, eta_spec=bump,
-                                 Delta=0.05, lam=0.5, **geometry)
+    alone = repulsion_experiment(instance(), eta_spec=bump, Delta=0.05, **geometry)
     assert json.loads((out / "repulsion_summary.json").read_text()) == alone.__dict__
 
 
@@ -233,9 +249,9 @@ A_SHAPE = euclidean_ball([0, 0, 0], 0.5)
 
 def test_disconnection_zero_tilt_degenerates_to_direct():
     rep = disconnection_rate_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.35, epsilon=0.0,
-        delta_shell=0.0, N=4, direct_replicas=1500, tilted_replicas=1500,
-        seed=21, lam=0.5)
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=21),
+        alpha=0.35, alpha_star_ref=0.35, epsilon=0.0, delta_shell=0.0,
+        direct_replicas=1500, tilted_replicas=1500)
     # strength 0: weights are identically one, IS estimate equals the
     # tilted frequency exactly
     assert rep.entropy_H == 0.0
@@ -246,9 +262,9 @@ def test_disconnection_zero_tilt_degenerates_to_direct():
 
 def test_disconnection_small_instance_agreement():
     rep = disconnection_rate_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
-        delta_shell=0.25, N=4, direct_replicas=4000, tilted_replicas=4000,
-        seed=22, lam=0.5, eps_ladder=[0.05, 0.8, 1.6])
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=22),
+        alpha=0.35, alpha_star_ref=0.5, epsilon=0.05, delta_shell=0.25,
+        direct_replicas=4000, tilted_replicas=4000, eps_ladder=[0.05, 0.8, 1.6])
     comb = math.hypot(rep.direct_se, rep.is_se)
     assert abs(rep.direct_estimate - rep.is_estimate) <= 3 * comb
     freqs = [p.tilted_freq for p in rep.ladder[:3]]
@@ -263,9 +279,9 @@ def test_disconnection_small_instance_agreement():
 def test_repulsion_experiment_small():
     eta = {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0}
     rep = repulsion_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.1,
-        delta_shell=0.25, N=4, tilted_replicas=4000, seed=23, eta_spec=eta,
-        Delta=0.05, lam=0.5)
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=23),
+        alpha=0.35, alpha_star_ref=0.5, epsilon=0.1, delta_shell=0.25,
+        tilted_replicas=4000, eta_spec=eta, Delta=0.05)
     assert rep.tilt_mean_ok
     assert rep.pairing_tilt_reference < 0  # downward push by construction
     assert rep.n_disconnected > 0
@@ -277,9 +293,9 @@ def test_repulsion_zero_test_function():
     eta = {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0,
            "amplitude": 0.0}
     rep = repulsion_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.5, epsilon=0.1,
-        delta_shell=0.25, N=4, tilted_replicas=400, seed=24, eta_spec=eta,
-        Delta=0.05, lam=0.5)
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=24),
+        alpha=0.35, alpha_star_ref=0.5, epsilon=0.1, delta_shell=0.25,
+        tilted_replicas=400, eta_spec=eta, Delta=0.05)
     assert rep.pairing_mean_tilted == 0.0
     assert rep.pairing_tilt_reference == 0.0
     assert rep.profile_pairing == 0.0
@@ -314,10 +330,9 @@ def test_importance_weights_summed_in_log_domain(monkeypatch):
 
     monkeypatch.setattr(homogenization, "tilt_log_weights", spy)
     rep = disconnection_rate_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.35,
-        epsilon=strengths[0], delta_shell=0.25, N=4, direct_replicas=10,
-        tilted_replicas=300, seed=25, lam=0.5, eps_ladder=strengths,
-        instance=inst)
+        inst, alpha=0.35, alpha_star_ref=0.35, epsilon=strengths[0],
+        delta_shell=0.25, direct_replicas=10, tilted_replicas=300,
+        eps_ladder=strengths)
     assert len(seen) == 2
     for (lw, disc), point in zip(seen, rep.ladder):
         with np.errstate(under="ignore"):
@@ -337,10 +352,9 @@ def test_importance_weights_summed_in_log_domain(monkeypatch):
     # 0: the rate proxy comes from the log estimate, logsumexp - log n
     seen.clear()
     rep = disconnection_rate_experiment(
-        RANDOM, A_SHAPE, M=1.5, alpha=0.35, alpha_star_ref=0.35,
-        epsilon=math.sqrt(2 * 5000.0 / cap), delta_shell=0.25, N=4,
-        direct_replicas=10, tilted_replicas=300, seed=25, lam=0.5,
-        instance=inst)
+        inst, alpha=0.35, alpha_star_ref=0.35,
+        epsilon=math.sqrt(2 * 5000.0 / cap), delta_shell=0.25,
+        direct_replicas=10, tilted_replicas=300)
     (lw, disc), = seen
     assert rep.is_estimate == 0.0 and disc.any()
     log_est = logsumexp(lw[disc]) - math.log(300)
@@ -349,13 +363,11 @@ def test_importance_weights_summed_in_log_domain(monkeypatch):
 
 
 def test_disconnection_geometry_guards():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="touches the enclosing shell"):
+        _DisconnectionInstance(RANDOM, euclidean_ball([0, 0, 0], 2.0), M=1.0,
+                               N=4, lam=0.5, seed=1)
+    inst = _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=1)
+    with pytest.raises(ValueError, match="escapes the killing region"):
         disconnection_rate_experiment(
-            RANDOM, euclidean_ball([0, 0, 0], 2.0), M=1.0, alpha=0.3,
-            alpha_star_ref=0.5, epsilon=0.1, delta_shell=0.0, N=4,
-            direct_replicas=10, tilted_replicas=10, seed=1, lam=0.5)
-    with pytest.raises(ValueError):
-        disconnection_rate_experiment(
-            RANDOM, A_SHAPE, M=1.5, alpha=0.3, alpha_star_ref=0.5,
-            epsilon=0.1, delta_shell=5.0, N=4, direct_replicas=10,
-            tilted_replicas=10, seed=1, lam=0.5)
+            inst, alpha=0.3, alpha_star_ref=0.5, epsilon=0.1, delta_shell=5.0,
+            direct_replicas=10, tilted_replicas=10)

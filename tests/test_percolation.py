@@ -3,10 +3,11 @@ import pytest
 from scipy.stats import norm
 
 from gfflab.environment import EnvironmentLaw, sample_environment
-from gfflab.gff import BoxCollection, FieldSample, sample_gff
+from gfflab.gff import BoxCollection, FieldSample, sample_gff, sample_matrix
 from gfflab.lattice import SiteSet, ball, box_sites, linf_sphere
 from gfflab.percolation import (
     LevelSet,
+    _draw_blocks,
     _seed_clusters,
     classify_boxes,
     components,
@@ -18,7 +19,7 @@ from gfflab.percolation import (
     level_set,
     threshold_event,
 )
-from gfflab.potential import green_killed
+from gfflab.potential import DirichletOperator, green_killed
 from gfflab.streams import stream
 
 LAW = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -27,6 +28,18 @@ LAW = EnvironmentLaw.iid_uniform(0.5, 1.0)
 @pytest.fixture(scope="module")
 def env():
     return sample_environment(LAW, box_sites([-12] * 3, [12] * 3), seed=7, lam=0.5)
+
+
+def test_draw_blocks_split_replicas_like_successive_sample_calls(env):
+    U = ball([0, 0, 0], 2)
+    op = DirichletOperator(env, U)
+    blocks = list(_draw_blocks(op, stream(5, "blocks"), 7, 3))
+    assert [b.shape for b in blocks] == [(len(U), 3), (len(U), 3), (len(U), 1)]
+    twin = stream(5, "blocks")
+    for b, k in zip(blocks, (3, 3, 1)):
+        assert np.array_equal(b, sample_matrix(env, U, k, twin, op=op))
+    assert list(_draw_blocks(op, stream(5, "blocks"), 0, 3)) == []
+    assert [b.shape[1] for b in _draw_blocks(op, stream(5, "blocks"), 4, 8)] == [4]
 
 
 def _field(domain, values):
@@ -314,7 +327,7 @@ def test_good_chain_implies_level_path(env):
     L, K = 4, 5
     dom = box_sites([-24, -20, -20], [28, 20, 20])
     envd = sample_environment(LAW, dom, seed=18, lam=0.5)
-    grid = BoxCollection(L=L, K=K, centers=((0, 0, 0), (4 * K + 1) * L * np.eye(3, dtype=int)[0]))
+    op = DirichletOperator(envd, dom)  # one factor serves the six draws
     # adjacent chain needs unseparated boxes: build it directly instead
     centers = ((0, 0, 0), (L, 0, 0))
     chain = BoxCollection.__new__(BoxCollection)
@@ -324,7 +337,7 @@ def test_good_chain_implies_level_path(env):
     gamma, delta, a = -0.6, -0.8, 1.5
     found = 0
     for seed in range(6):
-        phi = sample_gff(envd, dom, 1, seed=seed)[0]
+        phi = sample_gff(envd, dom, 1, seed=seed, op=op)[0]
         cls = classify_boxes(envd, phi, chain, gamma, delta, a)
         if all(cls.psi_good[z] and cls.xi_good[z] for z in centers):
             found += 1

@@ -118,7 +118,10 @@ def test_equilibrium_measure_identities(env):
     h = harmonic_potential(env, A, B)
     e = equilibrium_measure(env, A, B, h=h)
     assert e.min() > -1e-12
-    assert abs(e.sum() - capacity(env, A, B, h=h)) < 1e-8
+    assert abs(e.sum() - dirichlet_form(env, B, h)) < 1e-8
+    # the flux read from the edges at A is the assembled L_B h on A
+    ref = (killed_laplacian(env, B) @ h)[B.locate(A.coords)]
+    np.testing.assert_allclose(e, ref, rtol=1e-12, atol=1e-14)
     # supported on the internal boundary: interior sites carry no mass
     interior = A.difference(boundary(A, "internal"))
     if not interior.is_empty:
