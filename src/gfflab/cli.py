@@ -71,23 +71,32 @@ def law_from_config(config: dict) -> EnvironmentLaw:
     raise ValueError(f"unknown law kind {kind!r}")
 
 
-# Keys each command reads without a default. A "sec.sub" row checks an
-# optional subsection when present; a "sec+key" row applies when sec has key.
+# Keys each command reads without a default, with their JSON types (a
+# bool is none of them). A "sec.sub" row checks an optional subsection
+# when present; a "sec+key" row applies when sec has key.
 REQUIRED_KEYS = {
-    "env": ("window_lo", "window_hi"),
-    "potential": ("A_center", "A_radius", "B_center", "B_radius"),
-    "gff": ("radius", "count"),
-    "percolation": ("L_grid", "alpha_grid", "replicas"),
-    "percolation.connectivity": ("alpha", "z_list", "replicas"),
-    "percolation.classify": ("L", "K", "centers", "gamma", "delta", "a"),
-    "solidify": ("A_radius", "B_radius", "offset", "puncture_fractions"),
-    "homogenize": ("A", "B", "N_list"),
-    "homogenize.reference": ("shape", "sigma2"),
-    "homogenize.diffusivity": ("t_horizon", "replicas"),
-    "disconnect": ("A", "M", "alpha", "alpha_star_ref", "epsilon", "N",
-                   "direct_replicas", "tilted_replicas"),
-    "disconnect+eta": ("Delta",),
+    "env": {"window_lo": "list", "window_hi": "list"},
+    "potential": {"A_center": "list", "A_radius": "number",
+                  "B_center": "list", "B_radius": "number"},
+    "gff": {"radius": "number", "count": "integer"},
+    "percolation": {"L_grid": "list", "alpha_grid": "list", "replicas": "integer"},
+    "percolation.connectivity": {"alpha": "number", "z_list": "list",
+                                 "replicas": "integer"},
+    "percolation.classify": {"L": "integer", "K": "integer", "centers": "list",
+                             "gamma": "number", "delta": "number", "a": "number"},
+    "solidify": {"A_radius": "number", "B_radius": "number", "offset": "number",
+                 "puncture_fractions": "list"},
+    "homogenize": {"A": "object", "B": "object", "N_list": "list"},
+    "homogenize.reference": {"shape": "string", "sigma2": "number"},
+    "homogenize.diffusivity": {"t_horizon": "number", "replicas": "integer"},
+    "disconnect": {"A": "object", "M": "number", "alpha": "number",
+                   "alpha_star_ref": "number", "epsilon": "number", "N": "integer",
+                   "direct_replicas": "integer", "tilted_replicas": "integer"},
+    "disconnect+eta": {"Delta": "number"},
 }
+
+JSON_TYPES = {"integer": int, "number": (int, float), "list": list,
+              "object": dict, "string": str}
 
 
 def _missing_keys(name: str, sec) -> list[str]:
@@ -95,10 +104,21 @@ def _missing_keys(name: str, sec) -> list[str]:
     for path, keys in REQUIRED_KEYS.items():
         head, _, sub = path.partition(".")
         section, _, when = head.partition("+")
-        if section == name and (not when or when in sec) and (not sub or sub in sec):
-            missing = [k for k in keys if k not in (sec[sub] if sub else sec)]
+        if section != name:
+            continue
+        if not isinstance(sec, dict):
+            return [f"{name} must be of JSON type object"]
+        if (not when or when in sec) and (not sub or sub in sec):
+            part = sec[sub] if sub else sec
+            if not isinstance(part, dict):
+                bad.append(f"{path} must be of JSON type object")
+                continue
+            missing = [k for k in keys if k not in part]
             if missing:
                 bad.append(f"{path}: missing key(s) {', '.join(missing)}")
+            bad += [f"{path}: {k} must be of JSON type {t}" for k, t in keys.items()
+                    if k in part and (isinstance(part[k], bool)
+                                      or not isinstance(part[k], JSON_TYPES[t]))]
     return bad
 
 
@@ -165,7 +185,7 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                         "scales: ell_star is not (I,J,L)-compatible: "
                         f"ell0 - (I+1)(J+1)L = {sy.ell0 - (sy.I + 1) * (sy.J + 1) * sy.L}"
                         f" must exceed ell_min = {sy.ell_min_value}")
-            except (KeyError, ValueError) as exc:
+            except (KeyError, TypeError, ValueError) as exc:
                 bad.append(f"scales: {exc}")
         if name == "percolation" and "classify" in sec:
             ksec = sec["classify"]
@@ -280,8 +300,7 @@ class Runner:
                         + csec.get("padding", 4) + 1, self.d)
             cenv = environment_for_sites(self.law, cwin, self.seed, self.lam)
             rep = connectivity_function(cenv, csec["alpha"], [0] * self.d,
-                                        csec["z_list"], csec.get("L", Lmax),
-                                        csec["replicas"], self.seed,
+                                        csec["z_list"], csec["replicas"], self.seed,
                                         padding=csec.get("padding", 4))
             rows = [[rep.alpha, *e.z, e.estimate, e.se] for e in rep.estimates]
             write_csv(self._record("connectivity.csv"),

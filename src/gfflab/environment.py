@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import SiteSet, as_coords, box_sites, check_dimension, neighbor_steps
+from .lattice import SiteSet, as_coords, check_dimension, neighbor_steps
 from .streams import keyed_uniform
 
 _MAGIC = b"GFFLABENV1\n"
@@ -119,9 +119,10 @@ class Conductances:
 
     # -- access ------------------------------------------------------------
 
-    @property
-    def window(self) -> SiteSet:
-        return box_sites(self.lo, self.hi)
+    def covers(self, sites: SiteSet) -> bool:
+        """Whether every site of a non-empty set lies in the window [lo, hi]."""
+        lo, hi = sites.bounding_box()
+        return bool(np.all(lo >= self.lo) and np.all(hi <= self.hi))
 
     def _index(self, sites: np.ndarray) -> tuple:
         idx = sites - self.origin
@@ -260,7 +261,8 @@ def sample_environment(law: EnvironmentLaw, window, seed: int, lam: float,
 
 
 def environment_for_sites(law: EnvironmentLaw, sites: SiteSet, seed: int,
-                          lam: float, margin: int = 1) -> Conductances:
-    """Environment on the bounding box of `sites` plus a margin."""
+                          lam: float) -> Conductances:
+    """Environment on the bounding box of `sites` plus a one-site margin
+    on every side."""
     lo, hi = sites.bounding_box()
-    return sample_environment(law, (lo - margin, hi + margin), seed, lam)
+    return sample_environment(law, (lo - 1, hi + 1), seed, lam)

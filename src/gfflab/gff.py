@@ -31,9 +31,6 @@ class FieldSample:
 
     sites: SiteSet
     values: np.ndarray
-    seed: int | None = None
-    replica: int | None = None
-    env_id: str | None = None
 
     def value_at(self, x) -> float:
         idx = self.sites.locate(as_coords(x, self.sites.d))[0]
@@ -61,26 +58,22 @@ def sample_gff(env: Conductances, U: SiteSet, count: int, seed: int,
     """Independent field samples; deterministic in (factorization, seed)."""
     rng = stream(seed, "gff")
     mat = sample_matrix(env, U, count, rng, op=op)
-    env_id = env.content_hash()[:16]
-    return [FieldSample(U, mat[:, j].copy(), seed=seed, replica=j, env_id=env_id)
-            for j in range(count)]
+    return [FieldSample(U, mat[:, j].copy()) for j in range(count)]
 
 
-def decompose(phi: FieldSample, env: Conductances, Uprime: SiteSet,
-              op_sub: DirichletOperator | None = None) -> Decomposition:
+def decompose(phi: FieldSample, env: Conductances, Uprime: SiteSet) -> Decomposition:
     """Split phi into its harmonic average and local field over Uprime.
 
     xi solves the Dirichlet problem on Uprime with boundary data phi;
     psi = phi - xi vanishes off Uprime. Requires the external boundary
     of Uprime to stay inside the sample domain.
     """
-    xi, psi = decompose_matrix(env, phi.sites, Uprime, phi.values, op_sub)
+    xi, psi = decompose_matrix(env, phi.sites, Uprime, phi.values)
     return Decomposition(Uprime, xi, psi)
 
 
 def decompose_matrix(env: Conductances, U: SiteSet, Uprime: SiteSet,
-                     values: np.ndarray,
-                     op_sub: DirichletOperator | None = None) -> tuple[np.ndarray, np.ndarray]:
+                     values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized decomposition of an (n, k) block of samples.
 
     Returns (xi, psi) as (n, k) blocks aligned with U.
@@ -89,7 +82,7 @@ def decompose_matrix(env: Conductances, U: SiteSet, Uprime: SiteSet,
     if not Uprime.issubset(U) or not ext.issubset(U):
         raise ValueError("subdomain padding insufficient inside the sample domain")
     xi = values.copy()
-    inner = harmonic_extension(env, Uprime, U, values, op=op_sub)
+    inner = harmonic_extension(env, Uprime, U, values)
     xi[U.locate(Uprime.coords)] = inner
     return xi, values - xi
 
@@ -121,12 +114,8 @@ def tilted_sample(env: Conductances, U: SiteSet, f: np.ndarray, count: int,
     base = sample_matrix(env, U, count, rng, op=opU)
     shifted = base + f[:, None]
     logw = tilt_log_weights(env, U, f, shifted, op=opU)
-    env_id = env.content_hash()[:16]
-    return [
-        (FieldSample(U, shifted[:, j].copy(), seed=seed, replica=j, env_id=env_id),
-         float(logw[j]))
-        for j in range(count)
-    ]
+    return [(FieldSample(U, shifted[:, j].copy()), float(logw[j]))
+            for j in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -205,23 +194,22 @@ class ZFunctionalReport:
 
 
 def functional_Z(env: Conductances, domain: SiteSet, collection: BoxCollection,
-                 C_target: SiteSet | None = None, m: dict | None = None,
+                 m: dict | None = None,
                  eta_site_values: np.ndarray | None = None,
                  beta: float = 0.0, rho: float = 0.0,
-                 count: int = 0, seed: int = 0,
-                 op: DirichletOperator | None = None) -> ZFunctionalReport:
+                 count: int = 0, seed: int = 0) -> ZFunctionalReport:
     """Weighted harmonic-average functional over a separated collection.
 
-    Evaluates Z_m = sum_z lambda(z) xi^z_{m(z)} with
-    lambda(z) = e_C(B_z)/cap(C), its beta/rho-adjusted variant against a
-    site-weighted test function, the exact (solve-based) variances, and,
-    when `count` > 0, sampled values including inf_m Z_m.
+    Evaluates Z_m = sum_z lambda(z) xi^z_{m(z)} with lambda(z) =
+    e_C(B_z)/cap(C), C the union of the B_z, its beta/rho-adjusted variant
+    against a site-weighted test function, the exact (solve-based)
+    variances, and, when `count` > 0, sampled values including inf_m Z_m.
     """
     collection.validate_inside(domain)
     centers = [tuple(int(v) for v in z) for z in collection.center_array()]
-    opD = as_operator(env, domain, op)
-    C = C_target if C_target is not None else collection.union_B(domain.d)
-    hC = harmonic_potential(env, C, domain, op=None)
+    opD = DirichletOperator(env, domain)
+    C = collection.union_B(domain.d)
+    hC = harmonic_potential(env, C, domain)
     eC = equilibrium_measure(env, C, domain, h=hC)
     cap_C = float(eC.sum())
     lam = {}

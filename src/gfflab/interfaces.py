@@ -18,7 +18,6 @@ import numpy as np
 from .lattice import SiteSet, as_coords, ball, boundary
 from .environment import Conductances
 from .potential import (
-    DirichletOperator,
     capacity,
     dirichlet_form,
     harmonic_potential,
@@ -61,10 +60,9 @@ class DensityProfile:
         return self._cache[key]
 
 
-def local_density(U1, x, level: int, widened: bool = False,
-                  d: int | None = None) -> float:
+def local_density(U1, x, level: int, d: int | None = None) -> float:
     """One-off local density (see DensityProfile for the cached form)."""
-    return DensityProfile(U1, d=d).density(x, level, widened)
+    return DensityProfile(U1, d=d).density(x, level)
 
 
 def complement_profile(U0: SiteSet) -> DensityProfile:
@@ -88,8 +86,7 @@ def _window_sum(arr: np.ndarray, r: int, axis: int) -> np.ndarray:
     return out
 
 
-def density_grid(profile_member, lo, hi, level: int, d: int,
-                 widened: bool = False) -> np.ndarray:
+def density_grid(profile_member, lo, hi, level: int, d: int) -> np.ndarray:
     """sigma_l on every site of the box [lo, hi], by exact window sums.
 
     profile_member: vectorized membership test of U_1 over (n, d) points.
@@ -98,7 +95,7 @@ def density_grid(profile_member, lo, hi, level: int, d: int,
     """
     lo = as_coords(lo, d)[0]
     hi = as_coords(hi, d)[0]
-    r = (4 if widened else 1) * 2 ** int(level)
+    r = 2 ** int(level)
     from .lattice import box_sites
     padded = box_sites(lo - r, hi + r)
     mask = profile_member(padded.coords).reshape(tuple(hi - lo + 1 + 2 * r))
@@ -220,7 +217,7 @@ def check_porous_interface(env: Conductances, spec: PorousInterface,
     per_site = {}
     for x in S:
         window = ball(np.asarray(x), eps - 1, env.d)
-        if not window.issubset(env.window):
+        if not env.covers(window):
             raise ValueError("hitting window exceeds the environment")
         target = spec.Sigma.intersection(window)
         if target.is_empty:
@@ -241,8 +238,7 @@ def check_porous_interface(env: Conductances, spec: PorousInterface,
 
 
 def build_shell_interface(A_N: SiteSet, offset: int, puncture_fraction: float,
-                          rng: np.random.Generator,
-                          ell_star: int = 0) -> PorousInterface:
+                          rng: np.random.Generator) -> PorousInterface:
     """Test interface: thicken A_N by `offset` (l-infinity dilation), take
     the internal boundary shell, and knock out a uniformly random
     fraction of its sites. epsilon/chi are measured, not prescribed;
@@ -258,8 +254,7 @@ def build_shell_interface(A_N: SiteSet, offset: int, puncture_fraction: float,
         drop = rng.choice(len(shell), size=n_remove, replace=False)
         keep[drop] = False
     Sigma = SiteSet(shell.coords[keep], A_N.d)
-    return PorousInterface(U0, Sigma, epsilon=max(2 * offset, 2), chi=0.0,
-                           ell_star=ell_star)
+    return PorousInterface(U0, Sigma, epsilon=max(2 * offset, 2), chi=0.0)
 
 
 def nested_punctured_interfaces(A_N: SiteSet, offset: int, fractions,
@@ -285,15 +280,15 @@ def nested_punctured_interfaces(A_N: SiteSet, offset: int, fractions,
 # Dyadic scale systems and the resonance set
 
 
-def ell_min(delta: float, base: int = 5) -> int:
+def ell_min(delta: float) -> int:
     """Resolution floor for density arguments at accuracy delta.
 
-    The heat-kernel part of the true threshold is non-constructive; the
-    configurable `base` stands in for it and is surfaced in reports.
+    The heat-kernel part of the true threshold is non-constructive; a
+    fixed floor of 5 stands in for it and is surfaced in reports.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
-    return max(int(base), int(math.ceil(math.log2(8.0 / delta))))
+    return max(5, int(math.ceil(math.log2(8.0 / delta))))
 
 
 def separation_scale(J: int, d: int) -> int:
@@ -326,7 +321,7 @@ class ScaleSystem:
 
 
 def scale_system(I: int, J: int, ell_star: int, L: int | None = None,
-                 d: int = 3, ell_min_base: int = 5) -> ScaleSystem:
+                 d: int = 3) -> ScaleSystem:
     """Derive the inspected scale ladder below ell_star.
 
     ell0 is the largest multiple of (J+1)L not exceeding ell_star; the
@@ -346,7 +341,7 @@ def scale_system(I: int, J: int, ell_star: int, L: int | None = None,
     lower = ell0 - I * block
     scales_all = [ell for ell in range(0, ell0 + 1, L) if ell > lower]
     scales_coarse = [ell for ell in range(0, ell0 + 1, block) if ell > lower]
-    lmin = ell_min(1.0 / (200 * J), base=ell_min_base)
+    lmin = ell_min(1.0 / (200 * J))
     compatible = ell0 - (I + 1) * block > lmin
     return ScaleSystem(I, J, L, int(ell_star), d, ell0, scales_all,
                        scales_coarse, compatible, lmin, alpha_tilde(d))
@@ -379,8 +374,7 @@ class EscapeReport:
 
 
 def escape_probability(env: Conductances, A_N: SiteSet, Sigma: SiteSet,
-                       B_env: SiteSet, green_const: float = 1.0,
-                       op: DirichletOperator | None = None) -> EscapeReport:
+                       B_env: SiteSet, green_const: float = 1.0) -> EscapeReport:
     """sup over A_N of P_x[no hit of Sigma before leaving B_env].
 
     This finite-volume quantity is an upper proxy for the never-hitting
@@ -392,7 +386,7 @@ def escape_probability(env: Conductances, A_N: SiteSet, Sigma: SiteSet,
             raise ValueError("geometry must sit inside the environment box")
     if Sigma.is_empty:
         return EscapeReport(1.0, np.ones(len(A_N)), 0.0)
-    h = harmonic_potential(env, Sigma, B_env, op=op)
+    h = harmonic_potential(env, Sigma, B_env)
     vals = 1.0 - h[B_env.locate(A_N.coords)]
     cap_sigma = capacity(env, Sigma, B_env, h=h)
     lo, hi = B_env.bounding_box()
@@ -414,11 +408,11 @@ class CapacityRatioReport:
 
 
 def capacity_ratio_check(env: Conductances, A_N: SiteSet, Sigma: SiteSet,
-                         B_env: SiteSet, tol: float = 1e-8) -> CapacityRatioReport:
+                         B_env: SiteSet) -> CapacityRatioReport:
     """Finite-volume capacity comparison of an interface with the set it
     surrounds: cap(Sigma) >= inf_{A_N} P[hit Sigma] * cap(A_N), an exact
     identity chain through the last-exit decomposition, plus the
-    Dirichlet-difference bookkeeping term."""
+    Dirichlet-difference bookkeeping term. `ok` allows a slack of -1e-8."""
     hS = harmonic_potential(env, Sigma, B_env)
     hA = harmonic_potential(env, A_N, B_env)
     cap_S = capacity(env, Sigma, B_env, h=hS)
@@ -429,4 +423,4 @@ def capacity_ratio_check(env: Conductances, A_N: SiteSet, Sigma: SiteSet,
     # gap = 2 (cap_A - E(h_A, h_Sigma)); with Gauss-Green this is
     # 2 (cap_A - sum h_Sigma e_A) <= 2 (1 - inf_hit) cap_A
     return CapacityRatioReport(cap_S, cap_A, inf_hit, slack, gap,
-                               slack >= -tol, tol)
+                               slack >= -1e-8, 1e-8)

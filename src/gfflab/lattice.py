@@ -175,10 +175,10 @@ def empty_set(d: int) -> SiteSet:
     return SiteSet(np.empty((0, d), dtype=np.int64), d=d)
 
 
-def box_sites(lo, hi, d: int | None = None) -> SiteSet:
+def box_sites(lo, hi) -> SiteSet:
     """All integer sites of the box [lo, hi] (both ends inclusive)."""
-    lo = as_coords(lo, d)[0]
-    hi = as_coords(hi, d)[0]
+    lo = as_coords(lo)[0]
+    hi = as_coords(hi)[0]
     if np.any(hi < lo):
         return empty_set(lo.shape[0])
     axes = [np.arange(lo[a], hi[a] + 1, dtype=np.int64) for a in range(lo.shape[0])]

@@ -190,7 +190,7 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
     for Lv in Ls:
         Lv = int(Lv)
         domain = ball(x, 2 * Lv + padding, env.d)
-        if not domain.issubset(env.window):
+        if not env.covers(domain):
             raise ValueError("insufficient environment padding for the crossing event")
         lo, hi = domain.bounding_box()
         shape = tuple(hi - lo + 1)
@@ -234,10 +234,9 @@ class ConnectivityReport:
     estimates: list
     decay_rate: float | None
     alpha: float
-    L: int
 
 
-def connectivity_function(env: Conductances, alpha: float, x, z_list, L: int,
+def connectivity_function(env: Conductances, alpha: float, x, z_list,
                           replicas: int, seed: int, padding: int = 4
                           ) -> ConnectivityReport:
     """Two-point function P[x <-> x+z in the level set], one estimate per
@@ -247,7 +246,7 @@ def connectivity_function(env: Conductances, alpha: float, x, z_list, L: int,
     zs = [as_coords(z, env.d)[0] for z in z_list]
     reach = max(int(np.abs(z).max()) for z in zs)
     domain = ball(x, reach + padding, env.d)
-    if not domain.issubset(env.window):
+    if not env.covers(domain):
         raise ValueError("environment window too small for the displacement list")
     op = DirichletOperator(env, domain)
     lo, hi = domain.bounding_box()
@@ -270,7 +269,7 @@ def connectivity_function(env: Conductances, alpha: float, x, z_list, L: int,
         dist = np.array([p[0] for p in pos], dtype=np.float64)
         logp = np.log([p[1] for p in pos])
         rate = float(-np.polyfit(dist, logp, 1)[0])
-    return ConnectivityReport(ests, rate, float(alpha), int(L))
+    return ConnectivityReport(ests, rate, float(alpha))
 
 
 # ---------------------------------------------------------------------------
@@ -287,15 +286,11 @@ class BoxClassification:
     a: float
 
 
-def _big_components(mask_sites: SiteSet, min_diam: float) -> list[SiteSet]:
-    lev = LevelSet(mask_sites, 0.0, np.ones(len(mask_sites), dtype=bool))
-    lab = components(lev)
-    out = []
-    for canon, diam in lab.diameters.items():
-        if diam >= min_diam:
-            members = mask_sites.coords[lab.label == canon]
-            out.append(SiteSet(members, mask_sites.d))
-    return out
+def _big_components(mask_sites: SiteSet, min_diam: float) -> SiteSet:
+    """The sites of the clusters of diameter >= min_diam, as one set."""
+    lab = components(LevelSet(mask_sites, 0.0, np.ones(len(mask_sites), dtype=bool)))
+    big = [canon for canon, diam in lab.diameters.items() if diam >= min_diam]
+    return SiteSet(mask_sites.coords[np.isin(lab.label, big)], mask_sites.d)
 
 
 def classify_boxes(env: Conductances, phi: FieldSample, grid: BoxCollection,
@@ -316,45 +311,32 @@ def classify_boxes(env: Conductances, phi: FieldSample, grid: BoxCollection,
     L = grid.L
     psi_fields = {}
     xi_fields = {}
+    big = {}  # the sites of each box's big gamma-clusters
     for z in centers:
         Vz = grid.box_U(z)
         xi, psi = decompose_matrix(env, U, Vz, phi.values[:, None])
         psi_fields[z] = psi[:, 0]
         xi_fields[z] = xi[:, 0]
+        Bz = grid.box_B(z)
+        own = SiteSet(Bz.coords[psi_fields[z][U.locate(Bz.coords)] >= gamma], U.d)
+        big[z] = _big_components(own, L / 10.0)
     psi_good = {}
     xi_good = {}
-    center_set = set(centers)
     for z in centers:
         Dz = grid.box_D(z)
         d_idx = U.locate(Dz.coords)
         if np.any(d_idx < 0):
             raise ValueError("insufficient padding around a D-box")
         xi_good[z] = bool(xi_fields[z][d_idx].min() > -a)
-        Bz = grid.box_B(z)
-        b_idx = U.locate(Bz.coords)
-        own = SiteSet(Bz.coords[psi_fields[z][b_idx] >= gamma], U.d)
-        big_own = _big_components(own, L / 10.0) if not own.is_empty else []
-        good = len(big_own) > 0
+        good = not big[z].is_empty
         if good:
-            delta_mask = psi_fields[z][d_idx] >= delta
-            Sdelta = LevelSet(Dz, delta, delta_mask)
+            Sdelta = LevelSet(Dz, delta, psi_fields[z][d_idx] >= delta)
             lab = components(Sdelta)
-            for step in neighbor_steps(U.d):
-                znb = tuple(int(v) for v in np.add(z, L * step))
-                if znb not in center_set:
-                    continue
-                Bnb = grid.box_B(znb)
-                nb_idx = U.locate(Bnb.coords)
-                nb_set = SiteSet(Bnb.coords[psi_fields[znb][nb_idx] >= gamma], U.d)
-                big_nb = _big_components(nb_set, L / 10.0) if not nb_set.is_empty else []
-                if not big_nb:
-                    good = False
-                    break
-                H = SiteSet(np.vstack([c.coords for c in big_own]), U.d)
-                Kn = SiteSet(np.vstack([c.coords for c in big_nb]), U.d)
-                if not is_connected(H, Kn, Sdelta, labeling=lab):
-                    good = False
-                    break
+            neighbors = [tuple(int(v) for v in np.add(z, L * step))
+                         for step in neighbor_steps(U.d)]
+            good = all(not big[nb].is_empty
+                       and is_connected(big[z], big[nb], Sdelta, labeling=lab)
+                       for nb in neighbors if nb in big)
         psi_good[z] = good
     return BoxClassification(centers, psi_good, xi_good, gamma, delta, a)
 
@@ -397,12 +379,11 @@ class DecouplingReport:
 
 def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
                      K2: SiteSet, delta: float, event1, event2,
-                     replicas: int, seed: int, se_mult: float = 3.0
-                     ) -> DecouplingReport:
+                     replicas: int, seed: int) -> DecouplingReport:
     """Two-sided comparison of the joint law of increasing events on
     disjoint boxes against the product law at sprinkled levels.
 
-    Checks, within Monte Carlo error,
+    Checks, within 3 combined standard errors,
 
         E[f1 f2] <= E[f1] E[f2(. + delta)] + 2 P[bad],
         E[f1 f2] >= E[f1] E[f2(. - delta)] - 2 P[bad],
@@ -462,6 +443,6 @@ def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
         p_bad_harmonic=p_bad, bad_method=method,
         upper_violation=upper_violation, lower_violation=lower_violation,
         combined_se_upper=se_up, combined_se_lower=se_lo,
-        holds_upper=upper_violation <= se_mult * se_up,
-        holds_lower=lower_violation <= se_mult * se_lo,
+        holds_upper=upper_violation <= 3.0 * se_up,
+        holds_lower=lower_violation <= 3.0 * se_lo,
     )

@@ -31,6 +31,10 @@ the band's height, a BLAS-3 triangular multiply and solve per block, so
 the band is read once per call, not once per draw. When the band does
 not fit in memory, an exact incidence splitting through the LU solve is
 used instead.
+
+Walks stop by their stopping rules; a walk, or a batch of walks, that
+takes `MAX_WALK_STEPS` skeleton steps without stopping raises
+`SolverError`.
 """
 
 from __future__ import annotations
@@ -50,6 +54,7 @@ from .streams import binomial_se
 DEFAULT_FACTOR_LIMIT = 160_000
 DEFAULT_BANDED_LIMIT = 200_000_000  # stored band entries
 DEFAULT_CG_TOL = 1e-10
+MAX_WALK_STEPS = 10_000_000
 
 
 class SolverError(RuntimeError):
@@ -99,7 +104,6 @@ class DirichletOperator:
         self._chol_band = None
         self._incidence = None
         self.backend = "splu" if self.n <= factor_limit else "cg"
-        self.solve_count = 0
 
     # -- linear solves -------------------------------------------------------
 
@@ -119,7 +123,6 @@ class DirichletOperator:
         single = rhs.ndim == 1
         if rhs.shape[0] != self.n:
             raise ValueError("right-hand side has wrong length")
-        self.solve_count += 1
         if self.backend == "splu":
             return self._get_lu().solve(rhs)
         block = rhs[:, None] if single else rhs
@@ -315,15 +318,14 @@ def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
 
 
 def equilibrium_measure(env: Conductances, A: SiteSet, B: SiteSet,
-                        h: np.ndarray | None = None,
-                        op: DirichletOperator | None = None) -> np.ndarray:
+                        h: np.ndarray | None = None) -> np.ndarray:
     """Killed equilibrium measure e_{A,B} on A: the flux (L_B h)(x) of
     h = h_{A,B} (zero off B) out of each x in A, over the edges at x."""
     idx = B.locate(A.coords)
     if np.any(idx < 0):
         raise ValueError("A must be contained in B")
     if h is None:
-        h = harmonic_potential(env, A, B, op=op)
+        h = harmonic_potential(env, A, B)
     nb = B.locate((A.coords[:, None, :] + neighbor_steps(A.d)).reshape(-1, A.d))
     h_nb = np.where(nb >= 0, h[nb], 0.0).reshape(len(A), -1)
     return (env.neighbor_weights(A.coords) * (h[idx][:, None] - h_nb)).sum(axis=1)
@@ -342,20 +344,18 @@ def dirichlet_form(env: Conductances, sites: SiteSet, f: np.ndarray,
 
 
 def capacity(env: Conductances, A: SiteSet, B: SiteSet,
-             op: DirichletOperator | None = None,
              h: np.ndarray | None = None) -> float:
     """cap_B(A), the total mass of the equilibrium measure; equal to the
     Dirichlet energy of the harmonic potential h (given or solved)."""
-    return float(equilibrium_measure(env, A, B, h=h, op=op).sum())
+    return float(equilibrium_measure(env, A, B, h=h).sum())
 
 
-def energy_W(env: Conductances, U: SiteSet, h: np.ndarray,
-             op: DirichletOperator | None = None) -> float:
+def energy_W(env: Conductances, U: SiteSet, h: np.ndarray) -> float:
     """Quadratic form h^T g_U h (finite-volume energy of a charge h on U)."""
     h = np.asarray(h, dtype=np.float64)
     if h.shape[0] != len(U):
         raise ValueError("charge vector must align with U")
-    return float(h @ as_operator(env, U, op).solve(h))
+    return float(h @ DirichletOperator(env, U).solve(h))
 
 
 def dump_vector(path, sites: SiteSet, values: np.ndarray) -> None:
@@ -386,13 +386,13 @@ class UnkilledCapacityReport:
     error_bound: float
 
 
-def capacity_unkilled_approx(law, lam: float, A: SiteSet, radii, seed: int,
-                             green_const: float = 1.0,
-                             monotone_tol: float = 1e-9) -> UnkilledCapacityReport:
+def capacity_unkilled_approx(law, lam: float, A: SiteSet, radii,
+                             seed: int) -> UnkilledCapacityReport:
     """Finite-volume approximations cap_{B(0,R)}(A) along growing radii.
 
-    The reported one-sided error bound, green_const * cap^2 / dist^(d-2),
-    uses a configurable stand-in for the non-constructive Green constant.
+    The reported one-sided error bound, cap^2 / dist^(d-2), fixes the
+    non-constructive Green constant at 1; the values count as monotone
+    when no step up exceeds 1e-9.
     """
     from .environment import environment_for_sites
 
@@ -409,9 +409,8 @@ def capacity_unkilled_approx(law, lam: float, A: SiteSet, radii, seed: int,
         cap = capacity(env, A, B)
         dist = R + 1 - amax
         values.append(cap)
-        bounds.append(green_const * cap ** 2 / dist ** (A.d - 2))
-    diffs = np.diff(values)
-    monotone_ok = bool(np.all(diffs <= monotone_tol))
+        bounds.append(cap ** 2 / dist ** (A.d - 2))
+    monotone_ok = bool(np.all(np.diff(values) <= 1e-9))
     return UnkilledCapacityReport(radii, values, bounds, monotone_ok,
                                   values[-1], bounds[-1])
 
@@ -498,8 +497,7 @@ def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def walk_simulate(env: Conductances, start, rules: StoppingRules,
-                  rng: np.random.Generator, mode: str = "csrw",
-                  max_steps: int = 10_000_000) -> WalkPath:
+                  rng: np.random.Generator, mode: str = "csrw") -> WalkPath:
     """One trajectory of the constant- (or variable-) speed walk.
 
     Skeleton transitions jump from y to a neighbor z with probability
@@ -514,7 +512,7 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
     skeleton = [pos.copy()]
     holdings: list[float] = []
     elapsed = 0.0
-    for _ in range(max_steps):
+    for _ in range(MAX_WALK_STEPS):
         if rules.hit is not None and pos in rules.hit:
             return WalkPath(np.array(skeleton), np.array(holdings), "hit", elapsed)
         if rules.exit is not None and pos not in rules.exit:
@@ -540,8 +538,7 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
 
 def hitting_frequency(env: Conductances, start, target: SiteSet,
                       domain: SiteSet | None, rng: np.random.Generator,
-                      replicas: int, radius: int | None = None,
-                      max_steps: int = 10_000_000) -> tuple[float, float]:
+                      replicas: int, radius: int | None = None) -> tuple[float, float]:
     """Batched skeleton Monte Carlo for P[H_target before exit/radius].
 
     Returns (frequency, binomial standard error). All replicas advance in
@@ -555,7 +552,7 @@ def hitting_frequency(env: Conductances, start, target: SiteSet,
     origin = pos.copy()
     active = np.ones(replicas, dtype=bool)
     hit = np.zeros(replicas, dtype=bool)
-    for _ in range(max_steps):
+    for _ in range(MAX_WALK_STEPS):
         if not np.any(active):
             break
         idx = np.nonzero(active)[0]

@@ -239,7 +239,7 @@ def test_criterion_07_solidification_desk_scale():
         for sp in specs:
             esc = escape_probability(env, A_N, sp.Sigma, B_env)
             sups.append(esc.sup_escape)
-            chain = capacity_ratio_check(env, A_N, sp.Sigma, B_env, tol=1e-8)
+            chain = capacity_ratio_check(env, A_N, sp.Sigma, B_env)
             ok &= chain.ok
             n_specs += 1
         ok &= sups[0] <= 1e-8                    # sealed shell
@@ -260,8 +260,7 @@ def test_criterion_08_homogenization_annulus():
     oracle = annulus_pairing_quadrature(0.5, 2.0, eta, step=0.02)
     sweep = capacity_scaling(EnvironmentLaw.constant(1.0), LAM, A, B,
                              [8, 16, 32], seed=8, reference=ref,
-                             reference_rtol=0.10, cauchy_factor=1.0,
-                             eta=eta, oracle=oracle, oracle_rtol=0.10)
+                             cauchy_factor=1.0, eta=eta, oracle=oracle)
     cauchy_ok = sweep.cauchy_ok
     within = bool(sweep.within_reference)
     pair_ok = bool(sweep.within_oracle)

@@ -1,0 +1,104 @@
+"""Every defaulted parameter of the package has a caller.
+
+The source of `gfflab`, the tests and the benchmark are parsed with `ast`.
+A defaulted parameter of a non-dunder function or method of `gfflab`
+counts as used when at least one call, in any of those trees, passes it
+by keyword or by position. A parameter no call passes is a constant in
+disguise: it is deleted and its default inlined.
+
+Calls are matched by the called name alone, so every function sharing
+that name counts a call; a call through `*args` or `**kwargs` counts as
+passing every parameter it could reach.
+"""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "gfflab"
+TREES = (PACKAGE, ROOT / "tests", ROOT / "perfbench")
+
+
+def _parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+
+
+def _defaulted(fn: ast.FunctionDef, method: bool) -> list[tuple[str, int | None]]:
+    """(name, call position or None if keyword-only) of each defaulted
+    parameter; for a method the position counts from after self/cls."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    if method and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                          for d in fn.decorator_list):
+        positional = positional[1:]
+    out = [(a.arg, i) for i, a in enumerate(positional)
+           if i >= len(positional) - len(args.defaults)]
+    out += [(a.arg, None) for a, dflt in zip(args.kwonlyargs, args.kw_defaults)
+            if dflt is not None]
+    return out
+
+
+def _functions():
+    """(qualified name, name, defaulted parameters) for every function and
+    method of the package with at least one defaulted parameter."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parse(path)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            owner = parents.get(node)
+            method = isinstance(owner, ast.ClassDef)
+            params = _defaulted(node, method)
+            if params:
+                qual = f"{path.stem}.{owner.name + '.' if method else ''}{node.name}"
+                yield qual, node.name, params
+
+
+def _calls():
+    """Called name -> one (positional count, index of the first *args or
+    None, keyword names with None for **kwargs) per call in the trees."""
+    out: dict[str, list] = {}
+    for root in TREES:
+        for path in sorted(root.rglob("*.py")):
+            for node in ast.walk(_parse(path)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                if name is None:
+                    continue
+                star = [i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)]
+                out.setdefault(name, []).append(
+                    (len(node.args), star[0] if star else None,
+                     {k.arg for k in node.keywords}))
+    return out
+
+
+def _passed(name: str, pos: int | None, calls: list) -> bool:
+    return any(name in kws or None in kws
+               or (pos is not None and (pos < npos or (star is not None and pos >= star)))
+               for npos, star, kws in calls)
+
+
+def unpassed_parameters() -> list[str]:
+    calls = _calls()
+    return [f"{qual}({name})" for qual, fname, params in _functions()
+            for name, pos in params if not _passed(name, pos, calls.get(fname, []))]
+
+
+def test_every_defaulted_parameter_is_passed_by_some_call():
+    assert unpassed_parameters() == []
+
+
+def test_the_scan_sees_functions_and_calls():
+    quals = {qual for qual, _, _ in _functions()}
+    assert "potential.green_killed" in quals
+    assert "interfaces.DensityProfile.density" in quals
+    assert "green_killed" in _calls()

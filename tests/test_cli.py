@@ -216,3 +216,39 @@ def test_missing_required_key_exit_code(tmp_path, capsys):
                              "disconnect+eta: missing key(s) Delta"]
     assert main(["disconnect", "--config", _write(tmp_path, cfg)]) == 2
     assert not (tmp_path / "run1").exists()
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("disconnect",
+     {"A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+      "M": "2", "alpha": 0.3, "alpha_star_ref": 0.5, "epsilon": 0.1, "N": 3,
+      "direct_replicas": 8, "tilted_replicas": 8},
+     "disconnect: M must be of JSON type number"),
+    ("percolation", {"L_grid": [1], "alpha_grid": [0.0], "replicas": "10"},
+     "percolation: replicas must be of JSON type integer"),
+    ("gff", {"radius": 1, "count": 2.5},
+     "gff: count must be of JSON type integer"),
+])
+def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
+    cfg = _base(tmp_path)
+    cfg[command] = section
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert message in capsys.readouterr().out.splitlines()
+    assert main([command, "--config", path]) == 2
+    assert not (tmp_path / "run1").exists()
+
+
+def test_a_bool_and_a_non_object_section_have_the_wrong_type(tmp_path):
+    cfg = _base(tmp_path)
+    cfg["gff"] = {"radius": True, "count": 4}
+    assert validate(cfg) == ["gff: radius must be of JSON type number"]
+    cfg["gff"] = 3
+    cfg["percolation"] = {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4,
+                          "classify": 5}
+    assert validate(cfg) == ["gff must be of JSON type object",
+                             "percolation.classify must be of JSON type object"]
+    cfg = _base(tmp_path)
+    cfg["scales"] = {"I": "3", "J": 1, "ell_star": 100}
+    issues = validate(cfg)
+    assert len(issues) == 1 and issues[0].startswith("scales: ")

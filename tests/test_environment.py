@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gfflab.environment import Conductances, EnvironmentLaw, sample_environment
-from gfflab.lattice import box_sites, neighbor_steps
+from gfflab.interfaces import PorousInterface, check_porous_interface
+from gfflab.lattice import SiteSet, ball, box_sites, neighbor_steps
+from gfflab.percolation import connectivity_function, crossing_probability
 
 WINDOW = box_sites([-3, -3, -3], [3, 3, 3])
 
@@ -152,3 +154,31 @@ def test_out_of_window_access_raises():
     env = sample_environment(EnvironmentLaw.constant(1.0), WINDOW, 0, lam=0.5)
     with pytest.raises(ValueError):
         env.site_weight([10, 0, 0])
+
+
+def test_covers_compares_the_bounding_box_with_the_window():
+    env = sample_environment(LAWS[2], WINDOW, seed=7, lam=0.5)
+    assert env.covers(WINDOW)
+    assert env.covers(SiteSet([[3, -3, 0], [0, 3, 3]]))
+    assert not env.covers(SiteSet([[0, 0, 0], [4, 0, 0]]))
+    assert not env.covers(SiteSet([[0, -4, 0]]))
+
+
+def test_window_guards_accept_the_edge_and_reject_one_site_beyond():
+    env = sample_environment(LAWS[2], WINDOW, seed=7, lam=0.5)
+    # each domain below reaches x = 3 = env.hi[0] at the origin, x = 4 shifted
+    crossing_probability(env, 0.0, 1, [0, 0, 0], 4, seed=1, padding=1)
+    with pytest.raises(ValueError, match="insufficient environment padding"):
+        crossing_probability(env, 0.0, 1, [1, 0, 0], 4, seed=1, padding=1)
+    connectivity_function(env, 0.0, [0, 0, 0], [[1, 0, 0]], 4, seed=1, padding=2)
+    with pytest.raises(ValueError, match="window too small"):
+        connectivity_function(env, 0.0, [1, 0, 0], [[1, 0, 0]], 4, seed=1,
+                              padding=2)
+    for x, ok in (([0, 0, 0], True), ([1, 0, 0], False)):
+        U0 = ball(x, 0, 3)
+        spec = PorousInterface(U0, U0, epsilon=3, chi=0.0)
+        if ok:
+            assert check_porous_interface(env, spec).ok
+        else:
+            with pytest.raises(ValueError, match="hitting window exceeds"):
+                check_porous_interface(env, spec)

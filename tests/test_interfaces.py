@@ -227,7 +227,7 @@ def test_separation_scale_value():
 
 def test_ell_min():
     assert ell_min(1.0 / 200.0) == 11
-    assert ell_min(0.5, base=5) == 5
+    assert ell_min(0.5) == 5
     with pytest.raises(ValueError):
         ell_min(0.0)
 

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from scipy import ndimage
 from scipy.stats import norm
 
 from gfflab.environment import EnvironmentLaw, sample_environment
-from gfflab.gff import BoxCollection, FieldSample, sample_gff, sample_matrix
-from gfflab.lattice import SiteSet, ball, box_sites, linf_sphere
+from gfflab import percolation
+from gfflab.gff import (BoxCollection, FieldSample, decompose_matrix, sample_gff,
+                        sample_matrix)
+from gfflab.lattice import SiteSet, ball, box_sites, linf_sphere, neighbor_steps
 from gfflab.percolation import (
     LevelSet,
+    _big_components,
     _draw_blocks,
     _seed_clusters,
     classify_boxes,
@@ -221,7 +225,7 @@ def test_crossing_padding_guard(env):
 def test_connectivity_function(env):
     rep = connectivity_function(env, 0.4, [0, 0, 0],
                                 [[0, 0, 0], [1, 0, 0], [3, 0, 0], [5, 0, 0]],
-                                L=4, replicas=4000, seed=5)
+                                replicas=4000, seed=5)
     ests = {e.z: (e.estimate, e.se) for e in rep.estimates}
     p0, se0 = ests[(0, 0, 0)]
     # z = 0 reduces to the Gaussian one-point marginal
@@ -347,3 +351,75 @@ def test_good_chain_implies_level_path(env):
             assert is_connected(chain.box_B(centers[0]),
                                 chain.box_B(centers[1]), lev)
     assert found >= 1  # the construction must actually fire
+
+
+def _chain(L, K, centers):
+    # adjacent boxes violate the separation constraint: build directly
+    chain = BoxCollection.__new__(BoxCollection)
+    object.__setattr__(chain, "L", L)
+    object.__setattr__(chain, "K", K)
+    object.__setattr__(chain, "centers", centers)
+    return chain
+
+
+def _classify_each_box_alone(env, phi, grid, gamma, delta, a):
+    """Reference flags: every box's clusters, a neighbor's included, are
+    computed afresh from that box's own decomposition."""
+    U, L = phi.sites, grid.L
+    centers = [tuple(z) for z in grid.centers]
+
+    def fields(z):
+        xi, psi = decompose_matrix(env, U, grid.box_U(z), phi.values[:, None])
+        return xi[:, 0], psi[:, 0]
+
+    def clusters(z):
+        B = grid.box_B(z)  # lexicographic coords: a C-order (L,)*d grid
+        grid_mask = (fields(z)[1][U.locate(B.coords)] >= gamma).reshape((L,) * U.d)
+        labels, _ = ndimage.label(grid_mask)
+        big = [k + 1 for k, box in enumerate(ndimage.find_objects(labels))
+               if max(s.stop - s.start for s in box) - 1 >= L / 10.0]
+        return SiteSet(B.coords[np.isin(labels.ravel(), big)], U.d)
+
+    psi_good, xi_good = {}, {}
+    for z in centers:
+        xi, psi = fields(z)
+        D = grid.box_D(z)
+        d_idx = U.locate(D.coords)
+        xi_good[z] = bool(xi[d_idx].min() > -a)
+        own = clusters(z)
+        good = not own.is_empty
+        lev = LevelSet(D, delta, psi[d_idx] >= delta)
+        for step in neighbor_steps(U.d):
+            nb = tuple(int(v) for v in np.add(z, L * step))
+            if good and nb in centers:
+                other = clusters(nb)
+                good = not other.is_empty and is_connected(own, other, lev)
+        psi_good[z] = good
+    return psi_good, xi_good
+
+
+def test_classify_finds_each_box_clusters_once(monkeypatch):
+    L, K = 2, 5
+    centers = ((0, 0, 0), (L, 0, 0), (2 * L, 0, 0))
+    chain = _chain(L, K, centers)
+    dom = box_sites([-11, -11, -11], [14, 11, 11])
+    envd = sample_environment(LAW, dom, seed=18, lam=0.5)
+    op = DirichletOperator(envd, dom)
+    calls = []
+
+    def spy(mask_sites, min_diam):
+        calls.append(len(mask_sites))
+        return _big_components(mask_sites, min_diam)
+
+    flags = []
+    for seed, gamma in ((0, -0.6), (1, 0.0), (2, 0.6)):
+        phi = sample_gff(envd, dom, 1, seed=seed, op=op)[0]
+        ref = _classify_each_box_alone(envd, phi, chain, gamma, gamma - 0.2, 1.5)
+        monkeypatch.setattr(percolation, "_big_components", spy)
+        calls.clear()
+        cls = classify_boxes(envd, phi, chain, gamma, gamma - 0.2, 1.5)
+        monkeypatch.undo()
+        assert len(calls) == len(centers)
+        assert (cls.psi_good, cls.xi_good) == ref
+        flags += [cls.psi_good[z] for z in centers]
+    assert any(flags) and not all(flags)  # both outcomes of the wiring test
