@@ -95,13 +95,29 @@ REQUIRED_KEYS = {
     "disconnect+eta": {"Delta": "number"},
 }
 
+# Keys read with a default, type-checked when present.
+OPTIONAL_KEYS = {
+    "gff": {"center": "list"},
+    "percolation": {"padding": "integer"},
+    "percolation.connectivity": {"padding": "integer"},
+    "homogenize": {"quadrature_step": "number", "eta": "object"},
+    "homogenize.reference": {"r": "number", "R": "number"},
+    "homogenize.diffusivity": {"mode": "string"},
+    "disconnect": {"B": "object", "eta": "object", "delta_shell": "number",
+                   "eps_ladder": "list"},
+}
+
 JSON_TYPES = {"integer": int, "number": (int, float), "list": list,
               "object": dict, "string": str}
 
 
+def _wrong_type(value, t: str) -> bool:
+    return isinstance(value, bool) or not isinstance(value, JSON_TYPES[t])
+
+
 def _missing_keys(name: str, sec) -> list[str]:
     bad = []
-    for path, keys in REQUIRED_KEYS.items():
+    for path in dict.fromkeys([*REQUIRED_KEYS, *OPTIONAL_KEYS]):
         head, _, sub = path.partition(".")
         section, _, when = head.partition("+")
         if section != name:
@@ -113,12 +129,13 @@ def _missing_keys(name: str, sec) -> list[str]:
             if not isinstance(part, dict):
                 bad.append(f"{path} must be of JSON type object")
                 continue
-            missing = [k for k in keys if k not in part]
+            required = REQUIRED_KEYS.get(path, {})
+            missing = [k for k in required if k not in part]
             if missing:
                 bad.append(f"{path}: missing key(s) {', '.join(missing)}")
-            bad += [f"{path}: {k} must be of JSON type {t}" for k, t in keys.items()
-                    if k in part and (isinstance(part[k], bool)
-                                      or not isinstance(part[k], JSON_TYPES[t]))]
+            bad += [f"{path}: {k} must be of JSON type {t}"
+                    for k, t in {**required, **OPTIONAL_KEYS.get(path, {})}.items()
+                    if k in part and _wrong_type(part[k], t)]
     return bad
 
 
@@ -140,6 +157,9 @@ def validate(config: dict, command: str | None = None) -> list[str]:
     if not isinstance(tol, dict) or set(tol) - set(DEFAULT_TOLERANCES):
         bad.append(f"tolerances: keys must be among {sorted(DEFAULT_TOLERANCES)}, "
                    f"got {tol!r}")
+    else:
+        bad += [f"tolerances: {k} must be of JSON type number"
+                for k, v in tol.items() if _wrong_type(v, "number")]
     if "law" not in config:
         bad.append("missing law specification")
     else:

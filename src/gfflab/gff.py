@@ -55,7 +55,7 @@ def sample_matrix(env: Conductances, U: SiteSet, count: int,
 
 def sample_gff(env: Conductances, U: SiteSet, count: int, seed: int,
                op: DirichletOperator | None = None) -> list[FieldSample]:
-    """Independent field samples; deterministic in (factorization, seed)."""
+    """Independent field samples; deterministic in (operator, count, seed)."""
     rng = stream(seed, "gff")
     mat = sample_matrix(env, U, count, rng, op=op)
     return [FieldSample(U, mat[:, j].copy()) for j in range(count)]

@@ -20,17 +20,22 @@ the neighbor weights of A alone, and cap_B(A) is its sum. Since h is
 harmonic off A and 1 on A, that sum is the energy h^T L_B h, with no
 matrix assembled on B.
 
-Solver policy: exact sparse factorization (SuperLU, symmetric mode) up
-to `factor_limit` unknowns, Jacobi-preconditioned conjugate gradients
-beyond.
+Solver policy: two mechanisms, the band Cholesky factor L_U = U^T U and
+Jacobi-preconditioned conjugate gradients, and one rule, `band_pays`,
+choosing per call from the size n, the bandwidth bw and the number of
+right-hand sides or draws. A call goes through the band factor when it
+already exists, or when factoring (~ n bw^2) is cheaper than that many
+PCG solves and the band fits BAND_BYTES; every other call runs PCG. So a
+block of hundreds of draws factors, and a single solve on a large domain
+does not.
 
-Gaussian sampling (Rue 2001): with L_U = U^T U the banded Cholesky
-factor, x = U^{-1} z for z standard normal has covariance L_U^{-1}. All
-draws of one call share a single back-substitution over row blocks of
-the band's height, a BLAS-3 triangular multiply and solve per block, so
-the band is read once per call, not once per draw. When the band does
-not fit in memory, an exact incidence splitting through the LU solve is
-used instead.
+Gaussian sampling (Rue 2001): x = U^{-1} z for z standard normal has
+covariance L_U^{-1}. All draws of one call share a single
+back-substitution over row blocks of the band's height, a BLAS-3
+triangular multiply and solve per block, so the band is read once per
+call, not once per draw. Without a factor the draw is x = L_U^{-1} F^T z,
+F the incidence factor with F^T F = L_U and z one standard normal per row
+of F, solved by PCG: again covariance L_U^{-1}, with no factor built.
 
 Walks stop by their stopping rules; a walk, or a batch of walks, that
 takes `MAX_WALK_STEPS` skeleton steps without stopping raises
@@ -44,16 +49,23 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas, cholesky_banded
+from scipy.linalg import blas, cho_solve_banded, cholesky_banded
 
 from .lattice import SiteSet, as_coords, ball, neighbor_steps
 from .environment import Conductances
 from .streams import binomial_se
 
-DEFAULT_FACTOR_LIMIT = 160_000
-DEFAULT_BANDED_LIMIT = 200_000_000  # stored band entries
-DEFAULT_CG_TOL = 1e-10
+BAND_BYTES = 1_600_000_000  # largest band factor ever allocated
+CG_TOL = 1e-10
+CG_COLUMNS = 64  # right-hand sides per PCG block, so work arrays stay n x 64
+# Cost model of `band_pays`. On a domain of extent s = n / bw along its
+# slowest axis (the side of a box, whose lexicographic bandwidth bw is a
+# cross-section), Jacobi PCG takes about 5 s iterations of one sparse
+# product each, so one solve costs ~ n^2 / bw, against n bw^2 for the band
+# factor. Timed on 2 vCPU (OpenBLAS), factoring costs as much as k PCG
+# draws with k = 3.3-5 on 25^3, 8.4 on 35^3 and 11.8 on 41^3 boxes, that is
+# bw^3 / (k n) = 3100-5900; the rule factors when bw^3 <= 4000 count n.
+PCG_PER_FACTOR = 4000
 MAX_WALK_STEPS = 10_000_000
 
 
@@ -85,74 +97,109 @@ def killed_laplacian(env: Conductances, U: SiteSet) -> sp.csr_matrix:
     return mat.tocsr()
 
 
+def band_pays(n: int, bw: int, count: int, factored: bool) -> bool:
+    """Whether `count` solves or draws on an n-site operator of bandwidth
+    bw go through its band Cholesky factor rather than Jacobi PCG.
+
+    Always once the factor exists; never when the band exceeds
+    BAND_BYTES; otherwise when factoring (~ n bw^2) costs less than
+    `count` PCG solves (~ n^2 / bw each, in units PCG_PER_FACTOR times
+    dearer). Break-even is 4 draws on a 25^3 box and 20 on 43^3.
+    """
+    if factored:
+        return True
+    if n * (bw + 1) * 8 > BAND_BYTES:
+        return False
+    return bw ** 3 <= PCG_PER_FACTOR * count * n
+
+
 class DirichletOperator:
     """Killed Laplacian over a site set with a reusable solver handle."""
 
-    def __init__(self, env: Conductances, U: SiteSet, *,
-                 factor_limit: int = DEFAULT_FACTOR_LIMIT,
-                 banded_limit: int = DEFAULT_BANDED_LIMIT):
+    def __init__(self, env: Conductances, U: SiteSet):
         if U.is_empty:
             raise ValueError("domain must be non-empty")
         self.env = env
         self.sites = U
         self.matrix = killed_laplacian(env, U)
         self.n = len(U)
-        self.banded_limit = banded_limit
         off = self.matrix.tocoo()
         self.bandwidth = int(np.abs(off.row - off.col).max()) if off.nnz else 0
         self._lu = None
-        self._chol_band = None
         self._incidence = None
-        self.backend = "splu" if self.n <= factor_limit else "cg"
 
-    # -- linear solves -------------------------------------------------------
+    @property
+    def backend(self) -> str:
+        """'band' once the band factor exists, 'cg' before."""
+        return "cg" if self._lu is None else "band"
 
-    def _get_lu(self):
+    def _band_pays(self, count: int) -> bool:
+        return band_pays(self.n, self.bandwidth, count, self._lu is not None)
+
+    def _get_lu(self) -> np.ndarray:
+        """U with U^T U = L_U, in LAPACK upper band storage (bw + 1, n),
+        Fortran-ordered; factored on first use, in place."""
         if self._lu is None:
-            self._lu = spla.splu(
-                self.matrix.tocsc(),
-                permc_spec="MMD_AT_PLUS_A",
-                diag_pivot_thresh=0.0,
-                options=dict(SymmetricMode=True),
-            )
-        return self._lu
-
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Solve L_U x = rhs; rhs may be a vector or an (n, k) block."""
-        rhs = np.asarray(rhs, dtype=np.float64)
-        single = rhs.ndim == 1
-        if rhs.shape[0] != self.n:
-            raise ValueError("right-hand side has wrong length")
-        if self.backend == "splu":
-            return self._get_lu().solve(rhs)
-        block = rhs[:, None] if single else rhs
-        inv_diag = 1.0 / self.matrix.diagonal()
-        precond = spla.LinearOperator((self.n, self.n), matvec=lambda v: inv_diag * v)
-        cols = []
-        for k in range(block.shape[1]):
-            x, info = spla.cg(self.matrix, block[:, k], rtol=DEFAULT_CG_TOL,
-                              atol=0.0, M=precond, maxiter=20 * self.n)
-            if info != 0:
-                raise SolverError(f"conjugate gradients failed to converge (info={info})")
-            cols.append(x)
-        out = np.stack(cols, axis=1)
-        return out[:, 0] if single else out
-
-    # -- Gaussian sampling with covariance L_U^{-1} ----------------------------
-
-    def _banded_feasible(self) -> bool:
-        return self.n * (self.bandwidth + 1) <= self.banded_limit
-
-    def _get_chol_band(self):
-        if self._chol_band is None:
             bw = self.bandwidth
-            ab = np.zeros((bw + 1, self.n))
+            if self.n * (bw + 1) * 8 > BAND_BYTES:
+                raise SolverError(f"band factor of {self.n} x {bw + 1} entries "
+                                  f"exceeds {BAND_BYTES} bytes")
+            ab = np.zeros((bw + 1, self.n), order="F")
             coo = self.matrix.tocoo()
             upper = coo.col >= coo.row
             r, c, v = coo.row[upper], coo.col[upper], coo.data[upper]
             ab[bw - (c - r), c] = v
-            self._chol_band = cholesky_banded(ab, lower=False)
-        return self._chol_band
+            self._lu = cholesky_banded(ab, overwrite_ab=True, lower=False,
+                                       check_finite=False)
+        if not self._lu[-1].all():
+            raise SolverError("band Cholesky factor has a zero pivot")
+        return self._lu
+
+    # -- linear solves -------------------------------------------------------
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """Solve L_U x = rhs; rhs may be a vector or an (n, k) block."""
+        rhs = np.asarray(rhs, dtype=np.float64)
+        if rhs.shape[0] != self.n:
+            raise ValueError("right-hand side has wrong length")
+        if self._band_pays(1 if rhs.ndim == 1 else rhs.shape[1]):
+            return cho_solve_banded((self._get_lu(), False), rhs,
+                                    check_finite=False)
+        return self._pcg(rhs)
+
+    def _pcg(self, rhs: np.ndarray) -> np.ndarray:
+        """Jacobi-preconditioned conjugate gradients, CG_COLUMNS
+        right-hand sides at a time, each to residual CG_TOL |b|."""
+        block = rhs[:, None] if rhs.ndim == 1 else rhs
+        out = np.empty_like(block)
+        inv_diag = (1.0 / self.matrix.diagonal())[:, None]
+
+        def dot(a, b):
+            return np.einsum("ij,ij->j", a, b)
+
+        for s in range(0, block.shape[1], CG_COLUMNS):
+            r = block[:, s:s + CG_COLUMNS].copy()
+            x = np.zeros_like(r)
+            stop = CG_TOL * np.linalg.norm(r, axis=0)
+            z = inv_diag * r
+            p, rz = z, dot(r, z)
+            for _ in range(20 * self.n):
+                live = np.linalg.norm(r, axis=0) > stop
+                if not live.any():
+                    break
+                Ap = self.matrix @ p
+                alpha = np.divide(rz, dot(p, Ap), out=np.zeros_like(rz), where=live)
+                x += alpha * p
+                r -= alpha * Ap
+                z = inv_diag * r
+                rz, rz_old = dot(r, z), rz
+                p = z + np.divide(rz, rz_old, out=np.zeros_like(rz), where=live) * p
+            else:
+                raise SolverError("conjugate gradients failed to converge")
+            out[:, s:s + CG_COLUMNS] = x
+        return out[:, 0] if rhs.ndim == 1 else out
+
+    # -- Gaussian sampling with covariance L_U^{-1} ----------------------------
 
     def _get_incidence(self):
         # F with F^T F = L_U: one row per edge of U, then one killing row
@@ -175,21 +222,19 @@ class DirichletOperator:
         return self._incidence
 
     def sample_gaussian(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """(n, count) draws of N(0, L_U^{-1}), exact given the factorization."""
-        if self._banded_feasible():
-            R = self._get_chol_band()
-            if not R[-1].all():
-                raise SolverError("banded Cholesky factor has a zero pivot")
-            z = rng.standard_normal((self.n, count))
-            _band_back_substitute(R, z.T)
-            return z
-        if self.backend == "splu":
-            F = self._get_incidence()
-            z = rng.standard_normal((F.shape[0], count))
-            return self._get_lu().solve(F.T @ z)
-        raise SolverError(
-            "sampling needs a factorization; domain exceeds the factor limit"
-        )
+        """(n, count) exact draws of N(0, L_U^{-1}), through the band
+        factor when `band_pays`, else factor-free."""
+        if not self._band_pays(count):
+            return self.sample_factor_free(rng, count)
+        z = rng.standard_normal((self.n, count))
+        _band_back_substitute(self._get_lu(), z.T)
+        return z
+
+    def sample_factor_free(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """(n, count) draws x = L_U^{-1} F^T z, z standard normal with one
+        entry per row of the incidence factor F: Cov x = L_U^{-1}."""
+        F = self._get_incidence()
+        return self._pcg(F.T @ rng.standard_normal((F.shape[0], count)))
 
 
 def _band_back_substitute(R: np.ndarray, y: np.ndarray) -> None:

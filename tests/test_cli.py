@@ -239,6 +239,43 @@ def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
     assert not (tmp_path / "run1").exists()
 
 
+def test_optional_key_of_the_wrong_type_exits_2(tmp_path, capsys):
+    cfg = _base(tmp_path)
+    cfg["percolation"] = {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4,
+                          "padding": "2"}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert ("percolation: padding must be of JSON type integer"
+            in capsys.readouterr().out.splitlines())
+    assert main(["percolation", "--config", path]) == 2
+    assert not (tmp_path / "run1").exists()
+    cfg = _base(tmp_path)
+    cfg["tolerances"] = {"green_const": "1"}
+    cfg["gff"] = {"radius": 1, "count": 2, "center": 0}
+    cfg["homogenize"] = {
+        "A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+        "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
+        "N_list": [2], "quadrature_step": None,
+        "reference": {"shape": "annulus", "sigma2": 2.0, "R": "2"},
+        "diffusivity": {"t_horizon": 1, "replicas": 4, "mode": 1},
+    }
+    cfg["disconnect"] = {
+        "A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+        "M": 1.5, "alpha": 0.3, "alpha_star_ref": 0.5, "epsilon": 0.1,
+        "N": 3, "direct_replicas": 8, "tilted_replicas": 8,
+        "B": "ball", "delta_shell": "0.25", "eps_ladder": 0.1,
+    }
+    assert validate(cfg) == [
+        "tolerances: green_const must be of JSON type number",
+        "gff: center must be of JSON type list",
+        "homogenize: quadrature_step must be of JSON type number",
+        "homogenize.reference: R must be of JSON type number",
+        "homogenize.diffusivity: mode must be of JSON type string",
+        "disconnect: B must be of JSON type object",
+        "disconnect: delta_shell must be of JSON type number",
+        "disconnect: eps_ladder must be of JSON type list"]
+
+
 def test_a_bool_and_a_non_object_section_have_the_wrong_type(tmp_path):
     cfg = _base(tmp_path)
     cfg["gff"] = {"radius": True, "count": 4}

@@ -66,11 +66,12 @@ def test_sampler_ks(env):
 
 
 def test_incidence_sampler_law(env):
-    # the factorization fallback path produces the same law
+    # the factor-free draw L_U^{-1} F^T z produces the same law
     U = ball([0, 0, 0], 1)
-    op = DirichletOperator(env, U, banded_limit=1)  # force the incidence route
+    op = DirichletOperator(env, U)
     n = 20_000
-    S = op.sample_gaussian(stream(3, "inc"), n)
+    S = op.sample_factor_free(stream(3, "inc"), n)
+    assert op._lu is None
     G = green_killed(env, U, "full_matrix")
     assert (np.abs(S @ S.T / n - G) / _cov_se(G, n)).max() < 5
 

@@ -22,7 +22,7 @@ from gfflab.homogenization import (
     repulsion_experiment,
 )
 from gfflab.lattice import blow_up, euclidean_ball, linf_box
-from gfflab.potential import DirichletOperator, harmonic_potential
+from gfflab.potential import DirichletOperator, band_pays, harmonic_potential
 from gfflab.streams import stream
 
 CONST = EnvironmentLaw.constant(1.0)
@@ -114,7 +114,13 @@ def test_capacity_scaling_small_ladder():
                              euclidean_ball([0, 0, 0], 2.0), [4, 8], seed=0)
     vals = [r.scaled_capacity for r in sweep.results]
     assert len(vals) == 2 and vals[1] > vals[0] > 0
-    assert sweep.results[0].backend == "splu"
+    for r in sweep.results:
+        A_N = blow_up(euclidean_ball([0, 0, 0], 0.5), r.N)
+        B_N = blow_up(euclidean_ball([0, 0, 0], 2.0), r.N)
+        op = DirichletOperator(environment_for_sites(CONST, B_N, 0, 0.5),
+                               B_N.difference(A_N))
+        picked = band_pays(op.n, op.bandwidth, 1, False)
+        assert (r.unknowns, r.backend) == (op.n, "band" if picked else "cg")
 
 
 def test_capacity_scaling_assembles_one_laplacian_per_scale(monkeypatch):

@@ -6,11 +6,14 @@ from scipy.linalg import lapack
 from gfflab.environment import EnvironmentLaw, sample_environment
 from gfflab.lattice import SiteSet, ball, boundary, box_sites, neighbor_steps
 from gfflab.potential import (
+    BAND_BYTES,
+    CG_TOL,
     DirichletOperator,
     SolverError,
     StoppingRules,
     _band_back_substitute,
     _jump,
+    band_pays,
     boundary_flux_rhs,
     capacity,
     capacity_unkilled_approx,
@@ -389,17 +392,86 @@ def test_walk_window_edge_error():
 def test_cg_backend_matches_direct(env):
     U = ball([0, 0, 0], 2)
     direct = DirichletOperator(env, U)
-    iterative = DirichletOperator(env, U, factor_limit=10)
-    assert iterative.backend == "cg"
+    direct._get_lu()
+    assert direct.backend == "band"
+    iterative = DirichletOperator(env, U)
     rhs = stream(15, "cg").standard_normal(len(U))
-    assert np.abs(direct.solve(rhs) - iterative.solve(rhs)).max() < 1e-8
+    x = iterative._pcg(rhs)
+    assert iterative.backend == "cg"
+    assert np.abs(direct.solve(rhs) - x).max() < 1e-8
 
 
-def test_sampler_requires_factorization(env):
+def test_factor_free_draw_needs_no_factor(env, monkeypatch):
     U = ball([0, 0, 0], 2)
-    op = DirichletOperator(env, U, factor_limit=10, banded_limit=10)
+    op = DirichletOperator(env, U)
+
+    def refuse():
+        raise AssertionError("a factor-free draw must not factor")
+
+    monkeypatch.setattr(op, "_get_lu", refuse)
+    x = op.sample_factor_free(stream(16, "s"), 2)
+    assert x.shape == (op.n, 2) and op._lu is None and op.backend == "cg"
+    F = op._get_incidence()
+    rhs = F.T @ stream(16, "s").standard_normal((F.shape[0], 2))
+    residual = np.linalg.norm(op.matrix @ x - rhs, axis=0)
+    assert np.all(residual <= CG_TOL * np.linalg.norm(rhs, axis=0))
+
+
+def test_band_rule_outcomes():
+    # (n, bw) of l-infinity boxes of side s: n = s^3, lexicographic bw = s^2
+    assert not band_pays(43 ** 3, 43 ** 2, 1, False)  # one classify draw
+    assert band_pays(25 ** 3, 25 ** 2, 500, False)  # a disconnect chunk
+    assert band_pays(5 ** 3, 5 ** 2, 1, False)  # AC01's small boxes
+    # bw = 1000: 200k sites are just over BAND_BYTES, 199k just under
+    assert 199_000 * 1001 * 8 <= BAND_BYTES < 200_000 * 1001 * 8
+    assert band_pays(199_000, 1000, 500, False)
+    for count in (1, 500, 10 ** 9):
+        assert not band_pays(200_000, 1000, count, False)
+    assert band_pays(43 ** 3, 43 ** 2, 1, True)  # the factor already exists
+
+
+def test_band_over_the_byte_budget_is_never_allocated():
+    # two rows of M sites: (0, 0, z) and (1, 0, z) are M apart in site order
+    M = 10_000
+    U = SiteSet(np.concatenate([np.stack([np.full(M, a), np.zeros(M, int),
+                                          np.arange(M)], axis=1) for a in (0, 1)]))
+    thin = sample_environment(LAW, box_sites([-1, -1, -1], [2, 1, M]), seed=7, lam=0.5)
+    op = DirichletOperator(thin, U)
+    assert op.bandwidth == M and op.n * (M + 1) * 8 > BAND_BYTES
     with pytest.raises(SolverError):
-        op.sample_gaussian(stream(16, "s"), 2)
+        op._get_lu()
+    x = op.sample_gaussian(stream(22, "thin"), 3)
+    rhs = stream(22, "thin-rhs").standard_normal(op.n)
+    residual = op.matrix @ op.solve(rhs) - rhs
+    assert x.shape == (op.n, 3) and op._lu is None
+    assert np.linalg.norm(residual) <= CG_TOL * np.linalg.norm(rhs)
+
+
+def test_band_rule_picks_each_call_and_keeps_the_factor():
+    wide = sample_environment(LAW, box_sites([-10] * 3, [10] * 3), seed=7, lam=0.5)
+    op = DirichletOperator(wide, box_sites([-9] * 3, [9] * 3))
+    assert not band_pays(op.n, op.bandwidth, 1, False)
+    assert band_pays(op.n, op.bandwidth, 64, False)
+    rhs = stream(19, "rule").standard_normal((op.n, 64))
+    x = op.solve(rhs[:, 0])
+    assert op._lu is None and op.backend == "cg"
+    block = op.solve(rhs)
+    assert op._lu is not None and op.backend == "band"
+    assert np.abs(block[:, 0] - x).max() <= 1e-8 * np.abs(x).max()
+    # one right-hand side now takes the factor too: agreement far below CG_TOL
+    one = op.solve(rhs[:, 1])
+    assert np.abs(one - block[:, 1]).max() <= 1e-14 * np.abs(one).max()
+
+
+def test_many_rhs_band_solve_matches_dense(env):
+    U = ball([0, 0, 0], 3)
+    op = DirichletOperator(env, U)
+    assert band_pays(op.n, op.bandwidth, 40, False)
+    rhs = stream(21, "band-solve").standard_normal((op.n, 40))
+    x = op.solve(rhs)
+    assert op.backend == "band"
+    dense = np.linalg.solve(op.matrix.toarray(), rhs)
+    assert np.abs(x - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def _band_domains():
@@ -415,7 +487,7 @@ def _band_domains():
 @pytest.mark.parametrize("name", sorted(_band_domains()))
 def test_blocked_back_substitution_matches_dense_and_dtbtrs(env, name):
     op = DirichletOperator(env, _band_domains()[name])
-    R, n, bw = op._get_chol_band(), op.n, op.bandwidth
+    R, n, bw = op._get_lu(), op.n, op.bandwidth
     if name == "full_box":
         assert bw > 0 and n % bw == 0
     elif name == "ball_with_holes":
@@ -441,11 +513,12 @@ def test_blocked_back_substitution_matches_dense_and_dtbtrs(env, name):
 def test_sample_gaussian_reproducible_and_guarded(env):
     op = DirichletOperator(env, _band_domains()["ball_with_holes"])
     a = op.sample_gaussian(stream(18, "s"), 7)
+    assert op.backend == "band"
     b = op.sample_gaussian(stream(18, "s"), 7)
     assert a.shape == (op.n, 7) and a.tobytes() == b.tobytes()
     assert op.sample_gaussian(stream(18, "s"), 0).shape == (op.n, 0)
-    op._chol_band = op._get_chol_band().copy()
-    op._chol_band[-1, 5] = 0.0
+    op._lu = op._get_lu().copy(order="F")
+    op._lu[-1, 5] = 0.0
     with pytest.raises(SolverError):
         op.sample_gaussian(stream(18, "s"), 1)
 
