@@ -207,6 +207,11 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                         f" must exceed ell_min = {sy.ell_min_value}")
             except (KeyError, TypeError, ValueError) as exc:
                 bad.append(f"scales: {exc}")
+        if name == "percolation":
+            for path, part in (("percolation", sec),
+                               ("percolation.connectivity", sec.get("connectivity", {}))):
+                if part.get("padding", 0) < 0:
+                    bad.append(f"{path}: padding must be >= 0")
         if name == "percolation" and "classify" in sec:
             ksec = sec["classify"]
             try:

@@ -10,7 +10,13 @@ cluster touches a seed set. Crossing events, the two-point function and
 the disconnection event of `homogenization` are one reduction of its
 output each. `components()` labels a level set of any SiteSet on the
 grid of its bounding box, which serves `is_connected` and the box
-classification.
+classification. Each call of either builds the nearest-neighbor
+structure for ndimage.label once, from the rank of its box.
+
+The crossing event {B(x,L) <-> the sphere |y - x|_inf = 2L} is labelled
+on ball(x, 2L) alone, although the field is drawn on the padded domain:
+a nearest-neighbor step moves |y - x|_inf by at most 1, so a path from
+B(x,L) meets that sphere before it can leave the ball.
 
 Every Monte Carlo estimator draws its fields through one loop,
 `_draw_blocks`: `replicas` draws from one operator, in blocks of at most
@@ -83,7 +89,7 @@ def components(S: LevelSet) -> ComponentLabeling:
     pos = tuple((pts - lo).T)
     grid = np.zeros(tuple(pts.max(axis=0) - lo + 1), dtype=bool)
     grid[pos] = True
-    labels, _ = ndimage.label(grid)
+    labels, _ = ndimage.label(grid, ndimage.generate_binary_structure(grid.ndim, 1))
     raw = labels[pos]
     # in_idx ascends, so a label's first occurrence is its smallest index
     _, first = np.unique(raw, return_index=True)
@@ -128,10 +134,10 @@ def _seed_clusters(mask: np.ndarray, seed) -> np.ndarray:
     """Sites of a (k,)+box boolean block whose nearest-neighbor cluster,
     within their own replica, contains a seed site; `seed` is an index
     tuple into one replica's box. The answer overwrites `mask`, which is
-    returned, so a block costs no second copy. ndimage.label's default
-    structure is the nearest-neighbor cross."""
+    returned, so a block costs no second copy."""
+    cross = ndimage.generate_binary_structure(mask.ndim - 1, 1)
     for j in range(mask.shape[0]):
-        labels, n = ndimage.label(mask[j])
+        labels, n = ndimage.label(mask[j], cross)
         touch = np.zeros(n + 1, dtype=bool)
         touch[labels[seed]] = True
         touch[0] = False
@@ -181,7 +187,14 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
     reports the smallest grid alpha whose crossing probability strictly
     decreases across all tested L; that value is an estimator tied to
     this grid, never a certified constant.
+
+    The field is drawn on ball(x, 2L + padding), but only its rows on
+    ball(x, 2L) are labelled. That is the same event, replica by replica:
+    a nearest-neighbor path changes |y - x|_inf by at most 1 per step, so
+    it reaches the sphere |y - x|_inf = 2L before it can leave ball(x, 2L).
     """
+    if padding < 0:
+        raise ValueError("padding must be nonnegative")
     sweep = np.ndim(alpha) > 0 or np.ndim(L) > 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     Ls = np.atleast_1d(np.asarray(L, dtype=np.int64))
@@ -192,17 +205,18 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         domain = ball(x, 2 * Lv + padding, env.d)
         if not env.covers(domain):
             raise ValueError("insufficient environment padding for the crossing event")
-        lo, hi = domain.bounding_box()
-        shape = tuple(hi - lo + 1)
+        rows = domain.locate(ball(x, 2 * Lv, env.d).coords)
+        shape = (4 * Lv + 1,) * env.d
+        lo = x - 2 * Lv
         inner = tuple((ball(x, Lv, env.d).coords - lo).T)
         target = (slice(None),) + tuple(
             (linf_sphere(2 * Lv, env.d, center=x).coords - lo).T)
         op = DirichletOperator(env, domain)
         hits = np.zeros(len(alphas), dtype=np.int64)
         for block in _draw_blocks(op, stream(seed, "crossing", Lv), replicas, 256):
+            field = block[rows].T.reshape((block.shape[1],) + shape)
             for ia, av in enumerate(alphas):
-                mask = (block >= av).T.reshape((block.shape[1],) + shape)
-                hits[ia] += _seed_clusters(mask, inner)[target].any(axis=1).sum()
+                hits[ia] += _seed_clusters(field >= av, inner)[target].any(axis=1).sum()
         for ia, av in enumerate(alphas):
             p = hits[ia] / replicas
             results.append(CrossingEstimate(float(av), Lv, float(p),
@@ -242,6 +256,8 @@ def connectivity_function(env: Conductances, alpha: float, x, z_list,
     """Two-point function P[x <-> x+z in the level set], one estimate per
     displacement, plus the fitted exponential decay rate of log p in
     |z|_inf (reported for comparison with stretched-exponential forms)."""
+    if padding < 0:
+        raise ValueError("padding must be nonnegative")
     x = as_coords(x, env.d)[0]
     zs = [as_coords(z, env.d)[0] for z in z_list]
     reach = max(int(np.abs(z).max()) for z in zs)

@@ -27,7 +27,9 @@ right-hand sides or draws. A call goes through the band factor when it
 already exists, or when factoring (~ n bw^2) is cheaper than that many
 PCG solves and the band fits BAND_BYTES; every other call runs PCG. So a
 block of hundreds of draws factors, and a single solve on a large domain
-does not.
+does not. A band solve is two blocked sweeps over all its right-hand
+sides at once, forward through U^T and back through U, each a BLAS-3
+triangular multiply and solve per row block of the band's height.
 
 Gaussian sampling (Rue 2001): x = U^{-1} z for z standard normal has
 covariance L_U^{-1}. All draws of one call share a single
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import blas, cho_solve_banded, cholesky_banded
+from scipy.linalg import blas, cholesky_banded
 
 from .lattice import SiteSet, as_coords, ball, neighbor_steps
 from .environment import Conductances
@@ -162,10 +164,14 @@ class DirichletOperator:
         rhs = np.asarray(rhs, dtype=np.float64)
         if rhs.shape[0] != self.n:
             raise ValueError("right-hand side has wrong length")
-        if self._band_pays(1 if rhs.ndim == 1 else rhs.shape[1]):
-            return cho_solve_banded((self._get_lu(), False), rhs,
-                                    check_finite=False)
-        return self._pcg(rhs)
+        if not self._band_pays(1 if rhs.ndim == 1 else rhs.shape[1]):
+            return self._pcg(rhs)
+        R = self._get_lu()
+        x = rhs.copy()
+        y = (x[:, None] if x.ndim == 1 else x).T
+        _band_forward_substitute(R, y)
+        _band_back_substitute(R, y)
+        return x
 
     def _pcg(self, rhs: np.ndarray) -> np.ndarray:
         """Jacobi-preconditioned conjugate gradients, CG_COLUMNS
@@ -237,26 +243,38 @@ class DirichletOperator:
         return self._pcg(F.T @ rng.standard_normal((F.shape[0], count)))
 
 
-def _band_back_substitute(R: np.ndarray, y: np.ndarray) -> None:
-    """Overwrite y (k, n) with the solution x of x U^T = y, i.e. each row
-    r with U^{-1} r, where R is U in LAPACK upper band storage (bw + 1, n).
+def _band_window(R: np.ndarray):
+    """window(r, c, cols=bw), the block U[r:r + bw, c:c + cols] of the U
+    that R holds in Fortran-ordered LAPACK upper band storage (bw + 1, n).
 
-    R is Fortran-ordered, so U[r, c] sits at R.ravel("F")[bw + r + c*bw]:
-    the diagonal block of rows [s, s + bw) and the block to its right are
-    each a contiguous Fortran bw x bw window, whose upper and lower
-    triangles respectively are the band. Blocks run from the bottom; the
-    top rows left over when bw does not divide n get a zero-filled copy.
+    U[r, c] sits at R.ravel("F")[bw + r + c*bw], so every such block is a
+    contiguous Fortran view of R; only its entries inside the band are U's.
+    The diagonal block of rows [s, s + bw) and the block to its right hold
+    the band in their upper and lower triangles respectively.
     """
-    bw, n = R.shape[0] - 1, R.shape[1]
-    if bw == 0:
-        y /= R[0]
-        return
+    bw = R.shape[0] - 1
     flat = R.ravel(order="F")
 
     def window(r: int, c: int, cols: int = bw) -> np.ndarray:
         off = bw + r + c * bw
         return flat[off:off + bw * cols].reshape(bw, cols, order="F")
 
+    return window
+
+
+def _band_back_substitute(R: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite y (k, n) with the solution x of x U^T = y, i.e. each row
+    r with U^{-1} r, where R is U in LAPACK upper band storage (bw + 1, n).
+
+    Blocks of bw rows run from the bottom, each a BLAS-3 multiply by the
+    block to its right and a triangular solve (see `_band_window`); the
+    top rows left over when bw does not divide n get a zero-filled copy.
+    """
+    bw, n = R.shape[0] - 1, R.shape[1]
+    if bw == 0:
+        y /= R[0]
+        return
+    window = _band_window(R)
     for s in range(n - bw, -1, -bw):
         blk = slice(s, s + bw)
         if s + bw < n:
@@ -270,6 +288,32 @@ def _band_back_substitute(R: np.ndarray, y: np.ndarray) -> None:
         y[:, :top] -= y[:, top:top + bw] @ rows[:, top:].T
         y[:, :top] = blas.dtrsm(1.0, rows[:, :top], y[:, :top], side=1,
                                 trans_a=1, overwrite_b=1)
+
+
+def _band_forward_substitute(R: np.ndarray, y: np.ndarray) -> None:
+    """Overwrite y (k, n) with the solution x of x U = y, i.e. each row
+    r with U^{-T} r: the transpose of `_band_back_substitute`, on the same
+    windows of R. Blocks run from the top, after the `n % bw` leftover
+    rows, so both sweeps cut the rows alike.
+    """
+    bw, n = R.shape[0] - 1, R.shape[1]
+    if bw == 0:
+        y /= R[0]
+        return
+    window = _band_window(R)
+    top = n % bw
+    if top:
+        rows = np.triu(np.tril(window(0, 0, top + bw)[:top], bw))
+        y[:, :top] = blas.dtrsm(1.0, rows[:, :top], y[:, :top], side=1,
+                                overwrite_b=1)
+        y[:, top:top + bw] -= y[:, :top] @ rows[:, top:]
+    for s in range(top, n, bw):
+        blk = slice(s, s + bw)
+        if s >= bw:
+            y[:, blk] -= blas.dtrmm(1.0, window(s - bw, s), y[:, s - bw:s],
+                                    side=1, lower=1)
+        y[:, blk] = blas.dtrsm(1.0, window(s, s), y[:, blk], side=1,
+                               overwrite_b=1)
 
 
 def as_operator(env, U, op=None) -> DirichletOperator:

@@ -239,6 +239,25 @@ def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
     assert not (tmp_path / "run1").exists()
 
 
+def test_negative_padding_exits_2_before_any_output(tmp_path, capsys):
+    for sub in (None, "connectivity"):
+        cfg = _base(tmp_path)
+        cfg["percolation"] = {"L_grid": [2], "alpha_grid": [0.0, 0.5],
+                              "replicas": 8, "padding": -3}
+        path = "percolation"
+        if sub:
+            cfg["percolation"]["padding"] = 0
+            cfg["percolation"][sub] = {"alpha": 0.0, "z_list": [[1, 0, 0]],
+                                       "replicas": 4, "padding": -1}
+            path += "." + sub
+        cfg_path = _write(tmp_path, cfg)
+        assert main(["validate", "--config", cfg_path]) == 2
+        assert (f"{path}: padding must be >= 0"
+                in capsys.readouterr().out.splitlines())
+        assert main(["percolation", "--config", cfg_path]) == 2
+        assert not (tmp_path / "run1").exists()
+
+
 def test_optional_key_of_the_wrong_type_exits_2(tmp_path, capsys):
     cfg = _base(tmp_path)
     cfg["percolation"] = {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4,

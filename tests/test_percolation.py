@@ -222,6 +222,39 @@ def test_crossing_padding_guard(env):
         crossing_probability(env, 0.0, 10, [0, 0, 0], 10, seed=1)
 
 
+def test_negative_padding_is_rejected(env):
+    with pytest.raises(ValueError, match="padding must be nonnegative"):
+        crossing_probability(env, 0.0, 2, [0, 0, 0], 10, seed=1, padding=-3)
+    with pytest.raises(ValueError, match="padding must be nonnegative"):
+        connectivity_function(env, 0.0, [0, 0, 0], [[-2, 0, 0]], 10, seed=1,
+                              padding=-1)
+
+
+def test_crossing_matches_the_event_on_the_whole_padded_domain(env):
+    # oracle: redraw each replica's field on ball(x, 2L + padding) and
+    # decide B(x, L) <-> sphere(x, 2L) over the whole padded domain
+    x, padding, replicas, seed = [1, -2, 0], 3, 60, 11
+    alphas = [0.5, 0.7, 0.9, 1.1]
+    sweep = crossing_probability(env, alphas, [1, 2], x, replicas, seed,
+                                 padding=padding)
+    for L in (1, 2):
+        domain = ball(x, 2 * L + padding)
+        op = DirichletOperator(env, domain)
+        rng = stream(seed, "crossing", L)
+        inner, target = ball(x, L), linf_sphere(2 * L, 3, center=x)
+        hits = dict.fromkeys(alphas, 0)
+        for done in range(0, replicas, 256):
+            block = sample_matrix(env, domain, min(256, replicas - done), rng, op=op)
+            for col in block.T:
+                for av in alphas:
+                    hits[av] += is_connected(inner, target,
+                                             level_set(_field(domain, col), av))
+        got = {r.alpha: round(r.estimate * replicas)
+               for r in sweep.estimates if r.L == L}
+        assert got == hits
+        assert 0 < min(hits.values()) < max(hits.values()) < replicas
+
+
 def test_connectivity_function(env):
     rep = connectivity_function(env, 0.4, [0, 0, 0],
                                 [[0, 0, 0], [1, 0, 0], [3, 0, 0], [5, 0, 0]],

@@ -12,6 +12,7 @@ from gfflab.potential import (
     SolverError,
     StoppingRules,
     _band_back_substitute,
+    _band_forward_substitute,
     _jump,
     band_pays,
     boundary_flux_rhs,
@@ -508,6 +509,30 @@ def test_blocked_back_substitution_matches_dense_and_dtbtrs(env, name):
         assert info == 0
         for ref in (dense, banded):
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the forward sweep solves with U^T on the same blocks
+        x = z.copy()
+        _band_forward_substitute(R, x.T)
+        dense = sla.solve_triangular(U, z, trans="T")
+        banded, info = lapack.dtbtrs(R, z, uplo="U", trans="T", diag="N")
+        assert info == 0
+        for ref in (dense, banded):
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def test_band_solve_with_a_partial_block_and_one_rhs_matches_dense(env):
+    op = DirichletOperator(env, _band_domains()["ball_with_holes"])
+    op._get_lu()
+    assert op.n % op.bandwidth != 0
+    dense_op = op.matrix.toarray()
+    rng = stream(20, "band-solve")
+    for rhs in (rng.standard_normal(op.n), rng.standard_normal((op.n, 1)),
+                rng.standard_normal((op.n, 2 * op.bandwidth + 3))):
+        kept = rhs.copy()
+        x = op.solve(rhs)
+        assert op.backend == "band"
+        assert x.shape == rhs.shape and np.array_equal(rhs, kept)
+        dense = np.linalg.solve(dense_op, rhs)
+        assert np.abs(x - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 def test_sample_gaussian_reproducible_and_guarded(env):
