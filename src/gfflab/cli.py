@@ -72,47 +72,61 @@ def law_from_config(config: dict) -> EnvironmentLaw:
 
 
 # Keys each command reads without a default, with their JSON types (a
-# bool is none of them). A "sec.sub" row checks an optional subsection
-# when present; a "sec+key" row applies when sec has key.
+# bool is none of them). A type may carry a condition on the value:
+# "integer >= 1", "number > 0", "string in vsrw csrw". A "sec.sub" row
+# checks an optional subsection when present; a "sec+key" row applies
+# when sec has key.
+COUNT = "integer >= 1"  # a Monte Carlo count
 REQUIRED_KEYS = {
     "env": {"window_lo": "list", "window_hi": "list"},
     "potential": {"A_center": "list", "A_radius": "number",
                   "B_center": "list", "B_radius": "number"},
-    "gff": {"radius": "number", "count": "integer"},
-    "percolation": {"L_grid": "list", "alpha_grid": "list", "replicas": "integer"},
+    "gff": {"radius": "number", "count": COUNT},
+    "percolation": {"L_grid": "list", "alpha_grid": "list", "replicas": COUNT},
     "percolation.connectivity": {"alpha": "number", "z_list": "list",
-                                 "replicas": "integer"},
+                                 "replicas": COUNT},
     "percolation.classify": {"L": "integer", "K": "integer", "centers": "list",
                              "gamma": "number", "delta": "number", "a": "number"},
     "solidify": {"A_radius": "number", "B_radius": "number", "offset": "number",
                  "puncture_fractions": "list"},
     "homogenize": {"A": "object", "B": "object", "N_list": "list"},
     "homogenize.reference": {"shape": "string", "sigma2": "number"},
-    "homogenize.diffusivity": {"t_horizon": "number", "replicas": "integer"},
+    # replicas >= 2: the standard error divides by replicas - 1
+    "homogenize.diffusivity": {"t_horizon": "number > 0",
+                               "replicas": "integer >= 2"},
     "disconnect": {"A": "object", "M": "number", "alpha": "number",
                    "alpha_star_ref": "number", "epsilon": "number", "N": "integer",
-                   "direct_replicas": "integer", "tilted_replicas": "integer"},
+                   "direct_replicas": COUNT, "tilted_replicas": COUNT},
     "disconnect+eta": {"Delta": "number"},
 }
 
 # Keys read with a default, type-checked when present.
 OPTIONAL_KEYS = {
     "gff": {"center": "list"},
-    "percolation": {"padding": "integer"},
-    "percolation.connectivity": {"padding": "integer"},
+    "percolation": {"padding": "integer >= 0"},
+    "percolation.connectivity": {"padding": "integer >= 0"},
     "homogenize": {"quadrature_step": "number", "eta": "object"},
     "homogenize.reference": {"r": "number", "R": "number"},
-    "homogenize.diffusivity": {"mode": "string"},
+    "homogenize.diffusivity": {"mode": "string in vsrw csrw"},
     "disconnect": {"B": "object", "eta": "object", "delta_shell": "number",
                    "eps_ladder": "list"},
 }
 
 JSON_TYPES = {"integer": int, "number": (int, float), "list": list,
               "object": dict, "string": str}
+CONDITIONS = {">=": lambda v, args: v >= float(args[0]),
+              ">": lambda v, args: v > float(args[0]),
+              "in": lambda v, args: v in args}
 
 
-def _wrong_type(value, t: str) -> bool:
-    return isinstance(value, bool) or not isinstance(value, JSON_TYPES[t])
+def _type_error(value, t: str) -> str | None:
+    """Why `value` fails the type t, or None when it fits."""
+    base, *cond = t.split()
+    if isinstance(value, bool) or not isinstance(value, JSON_TYPES[base]):
+        return f"must be of JSON type {base}"
+    if cond and not CONDITIONS[cond[0]](value, cond[1:]):
+        return f"must be {' '.join(cond)}"
+    return None
 
 
 def _missing_keys(name: str, sec) -> list[str]:
@@ -133,9 +147,9 @@ def _missing_keys(name: str, sec) -> list[str]:
             missing = [k for k in required if k not in part]
             if missing:
                 bad.append(f"{path}: missing key(s) {', '.join(missing)}")
-            bad += [f"{path}: {k} must be of JSON type {t}"
+            bad += [f"{path}: {k} {why}"
                     for k, t in {**required, **OPTIONAL_KEYS.get(path, {})}.items()
-                    if k in part and _wrong_type(part[k], t)]
+                    if k in part and (why := _type_error(part[k], t))]
     return bad
 
 
@@ -159,7 +173,7 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                    f"got {tol!r}")
     else:
         bad += [f"tolerances: {k} must be of JSON type number"
-                for k, v in tol.items() if _wrong_type(v, "number")]
+                for k, v in tol.items() if _type_error(v, "number")]
     if "law" not in config:
         bad.append("missing law specification")
     else:
@@ -207,11 +221,6 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                         f" must exceed ell_min = {sy.ell_min_value}")
             except (KeyError, TypeError, ValueError) as exc:
                 bad.append(f"scales: {exc}")
-        if name == "percolation":
-            for path, part in (("percolation", sec),
-                               ("percolation.connectivity", sec.get("connectivity", {}))):
-                if part.get("padding", 0) < 0:
-                    bad.append(f"{path}: padding must be >= 0")
         if name == "percolation" and "classify" in sec:
             ksec = sec["classify"]
             try:

@@ -32,10 +32,6 @@ class FieldSample:
     sites: SiteSet
     values: np.ndarray
 
-    def value_at(self, x) -> float:
-        idx = self.sites.locate(as_coords(x, self.sites.d))[0]
-        return float(self.values[idx]) if idx >= 0 else 0.0
-
 
 @dataclass
 class Decomposition:

@@ -28,8 +28,8 @@ import numpy as np
 
 from .lattice import blow_up, box_sites, linf_box, linf_sphere
 from .environment import EnvironmentLaw, environment_for_sites, sample_environment
-from .potential import (DirichletOperator, SolverError, _jump, capacity,
-                        harmonic_potential)
+from .potential import (STOPS, DirichletOperator, SolverError, StoppingRules,
+                        _walk, capacity, harmonic_potential)
 from .gff import tilt_log_weights
 from .percolation import _draw_blocks, _seed_clusters
 from .streams import binomial_se, stream
@@ -248,41 +248,21 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
     """Empirical covariance of X_t / sqrt(t) over independent walk
     replicas, variable- or constant-speed clocks.
 
-    The window has half-width ceil(6 sqrt(2 d t)) + 2. Replicas that
-    touch its edge are discarded and counted; more than 1% discards is
-    treated as a geometry error.
+    The window has half-width ceil(6 sqrt(2 d t)) + 2. Its guard is the
+    radius rule: replicas that move window_half - 1 from the origin are
+    discarded and counted; more than 1% discards is treated as a geometry
+    error.
     """
     if mode not in ("vsrw", "csrw"):
         raise ValueError("mode must be 'vsrw' or 'csrw'")
     window_half = int(math.ceil(6.0 * math.sqrt(2.0 * d * t_horizon))) + 2
     env = sample_environment(law, ([-window_half] * d, [window_half] * d),
                              seed, lam)
-    rng = stream(seed, "diffusivity", mode)
-    pos = np.zeros((replicas, d), dtype=np.int64)
-    clock = np.zeros(replicas)
-    active = np.ones(replicas, dtype=bool)
-    discarded = np.zeros(replicas, dtype=bool)
-    guard = window_half - 1
-    while np.any(active):
-        idx = np.nonzero(active)[0]
-        p = pos[idx]
-        w = env.neighbor_weights(p)
-        omega = w.sum(axis=1)
-        rate = omega if mode == "vsrw" else np.ones_like(omega)
-        zeta = rng.exponential(1.0 / rate)
-        done = clock[idx] + zeta >= t_horizon
-        clock[idx] += zeta
-        active[idx[done]] = False
-        move = idx[~done]
-        if move.size == 0:
-            continue
-        u = rng.random(move.size) * omega[~done]
-        pos[move] = _jump(pos[move], w[~done], u)
-        out = np.abs(pos[move]).max(axis=1) >= guard
-        discarded[move[out]] = True
-        active[move[out]] = False
-    kept = ~discarded
-    n_disc = int(discarded.sum())
+    rules = StoppingRules(radius=window_half - 1, time_cap=t_horizon)
+    pos, why = _walk(env, np.zeros((replicas, d), dtype=np.int64), rules,
+                     stream(seed, "diffusivity", mode), mode)
+    kept = why != STOPS.index("radius")
+    n_disc = int((~kept).sum())
     if n_disc > 0.01 * replicas:
         raise SolverError(
             f"{n_disc} of {replicas} replicas hit the window; enlarge it")

@@ -18,6 +18,7 @@ import numpy as np
 from .lattice import SiteSet, as_coords, ball, boundary
 from .environment import Conductances
 from .potential import (
+    StoppingRules,
     capacity,
     dirichlet_form,
     harmonic_potential,
@@ -227,8 +228,8 @@ def check_porous_interface(env: Conductances, spec: PorousInterface,
             val = float(h[window.index_of(x)])
         elif mode == "mc":
             rng = stream(seed, "porous", *x)
-            val, _ = hitting_frequency(env, x, spec.Sigma, None, rng,
-                                       replicas, radius=eps)
+            rules = StoppingRules(hit=spec.Sigma, radius=eps)
+            val, _ = hitting_frequency(env, x, rules, rng, replicas)
         else:
             raise ValueError(f"unknown mode {mode!r}")
         per_site[x] = val

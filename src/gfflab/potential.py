@@ -39,9 +39,14 @@ call, not once per draw. Without a factor the draw is x = L_U^{-1} F^T z,
 F the incidence factor with F^T F = L_U and z one standard normal per row
 of F, solved by PCG: again covariance L_U^{-1}, with no factor built.
 
-Walks stop by their stopping rules; a walk, or a batch of walks, that
-takes `MAX_WALK_STEPS` skeleton steps without stopping raises
-`SolverError`.
+Walks: one engine, `_walk`, steps every batch of walkers in lock step
+(`hitting_frequency`, `homogenization.estimate_diffusivity`), and
+`walk_simulate` records a single path. Both stop a walker by one set of
+rules, `StoppingRules`: `fired` checks hit, then exit, then radius on the
+skeleton, and the time cap reads the clock. Both read weights through one
+edge-checked lookup and share one step budget: reaching the edge of the
+environment window, or taking `MAX_WALK_STEPS` steps without stopping,
+raises `SolverError`.
 """
 
 from __future__ import annotations
@@ -555,9 +560,12 @@ def heat_kernel_killed(env: Conductances, U: SiteSet, t: float, x,
 # Random walk simulation
 
 
+STOPS = (None, "hit", "exit", "radius", "time_cap")
+
+
 @dataclass
 class StoppingRules:
-    """First rule to fire stops the walk; exit or time_cap must be set."""
+    """The first rule to fire stops a walk; exit, radius or time_cap is set."""
 
     hit: SiteSet | None = None
     exit: SiteSet | None = None
@@ -565,8 +573,20 @@ class StoppingRules:
     time_cap: float | None = None
 
     def __post_init__(self):
-        if self.exit is None and self.time_cap is None:
-            raise ValueError("an exit rule or a time cap is required")
+        if self.exit is None and self.radius is None and self.time_cap is None:
+            raise ValueError("an exit rule, a radius or a time cap is required")
+
+    def fired(self, pos: np.ndarray, origin: np.ndarray) -> np.ndarray:
+        """Per walker at a row of pos, started at that of origin, the first
+        skeleton rule to fire, hit then exit then radius: an index into STOPS."""
+        why = np.zeros(len(pos), dtype=np.int8)
+        if self.radius is not None:
+            why[np.abs(pos - origin).max(axis=1) >= self.radius] = 3
+        if self.exit is not None:
+            why[~self.exit.contains_mask(pos)] = 2
+        if self.hit is not None:
+            why[self.hit.contains_mask(pos)] = 1
+        return why
 
 
 @dataclass
@@ -577,12 +597,50 @@ class WalkPath:
     total_time: float
 
 
+def _weights(env: Conductances, pos: np.ndarray) -> np.ndarray:
+    try:
+        return env.neighbor_weights(pos)
+    except ValueError as exc:
+        raise SolverError("walk reached the environment window edge") from exc
+
+
 def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Walker i at pos[i] takes step m of `neighbor_steps` for the first m
     with u_i < c_m, c the cumulative sums of its neighbor weights w[i] and
     u_i in [0, omega_i]: u_i = c_m takes step m + 1, u_i = omega_i the last."""
     m = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
     return pos + neighbor_steps(pos.shape[1])[np.minimum(m, w.shape[1] - 1)]
+
+
+def _walk(env: Conductances, pos: np.ndarray, rules: StoppingRules,
+          rng: np.random.Generator, mode: str | None = None):
+    """Step the walkers at the rows of pos in lock step until `rules` stop
+    each; return their final positions and stop reasons (indices into
+    STOPS). With a mode, each step draws the holding times, Exp(1) for
+    'csrw' or Exp(omega_y) for 'vsrw', before one uniform per mover."""
+    if (mode is None) != (rules.time_cap is None):
+        raise ValueError("a walk mode and a time cap go together")
+    origin, pos = pos, pos.copy()
+    why = np.zeros(len(pos), dtype=np.int8)
+    clock = np.zeros(len(pos))
+    idx = np.arange(len(pos))
+    for _ in range(MAX_WALK_STEPS):
+        p = pos[idx]
+        why[idx] = stop = rules.fired(p, origin[idx])
+        go = stop == 0
+        idx, p = idx[go], p[go]
+        if not idx.size:
+            return pos, why
+        w = _weights(env, p)
+        omega = w.sum(axis=1)
+        if mode is not None:
+            rate = omega if mode == "vsrw" else np.ones_like(omega)
+            clock[idx] += rng.exponential(1.0 / rate)
+            go = clock[idx] < rules.time_cap
+            why[idx[~go]] = STOPS.index("time_cap")
+            idx, p, w, omega = idx[go], p[go], w[go], omega[go]
+        pos[idx] = _jump(p, w, rng.random(idx.size) * omega)
+    raise SolverError("batched walk exceeded the step budget")
 
 
 def walk_simulate(env: Conductances, start, rules: StoppingRules,
@@ -596,22 +654,15 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
     """
     if mode not in ("csrw", "vsrw"):
         raise ValueError("mode must be 'csrw' or 'vsrw'")
-    pos = as_coords(start, env.d)[0].copy()
-    origin = pos.copy()
-    skeleton = [pos.copy()]
+    pos = origin = as_coords(start, env.d)[:1]
+    skeleton = [pos[0]]
     holdings: list[float] = []
     elapsed = 0.0
     for _ in range(MAX_WALK_STEPS):
-        if rules.hit is not None and pos in rules.hit:
-            return WalkPath(np.array(skeleton), np.array(holdings), "hit", elapsed)
-        if rules.exit is not None and pos not in rules.exit:
-            return WalkPath(np.array(skeleton), np.array(holdings), "exit", elapsed)
-        if rules.radius is not None and np.abs(pos - origin).max() >= rules.radius:
-            return WalkPath(np.array(skeleton), np.array(holdings), "radius", elapsed)
-        try:
-            w = env.neighbor_weights(pos[None, :])
-        except ValueError as exc:
-            raise SolverError("walk reached the environment window edge") from exc
+        why = rules.fired(pos, origin)[0]
+        if why:
+            return WalkPath(np.array(skeleton), np.array(holdings), STOPS[why], elapsed)
+        w = _weights(env, pos)
         omega = w.sum(axis=1)
         rate = 1.0 if mode == "csrw" else float(omega[0])
         zeta = rng.exponential(1.0 / rate)
@@ -620,45 +671,15 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
                             rules.time_cap)
         elapsed += zeta
         holdings.append(zeta)
-        pos = _jump(pos[None, :], w, rng.random(1) * omega)[0]
-        skeleton.append(pos.copy())
+        pos = _jump(pos, w, rng.random(1) * omega)
+        skeleton.append(pos[0])
     raise SolverError("walk exceeded the step budget without stopping")
 
 
-def hitting_frequency(env: Conductances, start, target: SiteSet,
-                      domain: SiteSet | None, rng: np.random.Generator,
-                      replicas: int, radius: int | None = None) -> tuple[float, float]:
-    """Batched skeleton Monte Carlo for P[H_target before exit/radius].
-
-    Returns (frequency, binomial standard error). All replicas advance in
-    lock step; each replica freezes once its first rule fires.
-    """
-    if domain is None and radius is None:
-        raise ValueError("need a bounded domain or a radius to terminate")
-    d = env.d
-    start = as_coords(start, d)[0]
-    pos = np.tile(start, (replicas, 1))
-    origin = pos.copy()
-    active = np.ones(replicas, dtype=bool)
-    hit = np.zeros(replicas, dtype=bool)
-    for _ in range(MAX_WALK_STEPS):
-        if not np.any(active):
-            break
-        idx = np.nonzero(active)[0]
-        p = pos[idx]
-        stop = target.contains_mask(p)
-        hit[idx[stop]] = True
-        if domain is not None:
-            stop |= ~domain.contains_mask(p)
-        if radius is not None:
-            stop |= np.abs(p - origin[idx]).max(axis=1) >= radius
-        active[idx[stop]] = False
-        idx, p = idx[~stop], p[~stop]
-        if not idx.size:
-            continue
-        w = env.neighbor_weights(p)
-        pos[idx] = _jump(p, w, rng.random(idx.size) * w.sum(axis=1))
-    else:
-        raise SolverError("batched walk exceeded the step budget")
-    freq = hit.mean()
+def hitting_frequency(env: Conductances, start, rules: StoppingRules,
+                      rng: np.random.Generator, replicas: int) -> tuple[float, float]:
+    """Batched skeleton Monte Carlo for P[the walk from `start` stops by
+    the hit rule of `rules`]: (frequency, binomial standard error)."""
+    pos = np.tile(as_coords(start, env.d)[:1], (replicas, 1))
+    freq = (_walk(env, pos, rules, rng)[1] == STOPS.index("hit")).mean()
     return float(freq), binomial_se(freq, replicas)

@@ -230,6 +230,11 @@ def test_missing_required_key_exit_code(tmp_path, capsys):
      "gff: count must be of JSON type integer"),
 ])
 def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
+    _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
+
+
+def _assert_exits_2_before_any_output(tmp_path, capsys, command, section,
+                                      message):
     cfg = _base(tmp_path)
     cfg[command] = section
     path = _write(tmp_path, cfg)
@@ -237,6 +242,40 @@ def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
     assert message in capsys.readouterr().out.splitlines()
     assert main([command, "--config", path]) == 2
     assert not (tmp_path / "run1").exists()
+
+
+_DISCONNECT = {"A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+               "M": 1.5, "alpha": 0.3, "alpha_star_ref": 0.5, "epsilon": 0.1,
+               "N": 3, "direct_replicas": 8, "tilted_replicas": 8}
+_PERCOLATION = {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4}
+_HOMOGENIZE = {"A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.5},
+               "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
+               "N_list": [2]}
+_DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("gff", {"radius": 1, "count": 0}, "gff: count must be >= 1"),
+    ("percolation", {**_PERCOLATION, "replicas": 0},
+     "percolation: replicas must be >= 1"),
+    ("percolation", {**_PERCOLATION, "connectivity":
+                     {"alpha": 0.2, "z_list": [[1, 0, 0]], "replicas": 0}},
+     "percolation.connectivity: replicas must be >= 1"),
+    ("disconnect", {**_DISCONNECT, "direct_replicas": 0},
+     "disconnect: direct_replicas must be >= 1"),
+    ("disconnect", {**_DISCONNECT, "tilted_replicas": 0},
+     "disconnect: tilted_replicas must be >= 1"),
+    ("homogenize", {**_HOMOGENIZE, "diffusivity": {**_DIFFUSIVITY, "mode": "warp"}},
+     "homogenize.diffusivity: mode must be in vsrw csrw"),
+    ("homogenize", {**_HOMOGENIZE, "diffusivity": {**_DIFFUSIVITY, "t_horizon": -1}},
+     "homogenize.diffusivity: t_horizon must be > 0"),
+    ("homogenize", {**_HOMOGENIZE, "diffusivity": {**_DIFFUSIVITY, "replicas": 0}},
+     "homogenize.diffusivity: replicas must be >= 2"),
+    ("homogenize", {**_HOMOGENIZE, "diffusivity": {**_DIFFUSIVITY, "replicas": 1}},
+     "homogenize.diffusivity: replicas must be >= 2"),
+])
+def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
+    _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
 
 
 def test_negative_padding_exits_2_before_any_output(tmp_path, capsys):

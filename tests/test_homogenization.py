@@ -247,6 +247,12 @@ def test_diffusivity_mode_guard():
         estimate_diffusivity(CONST, 0.5, 10.0, 10, 0, mode="warp")
 
 
+def test_diffusivity_walk_step_budget(monkeypatch):
+    monkeypatch.setattr(potential, "MAX_WALK_STEPS", 5)
+    with pytest.raises(potential.SolverError):
+        estimate_diffusivity(CONST, 0.5, 25.0, 50, 4)
+
+
 # -- disconnection and repulsion pipelines ---------------------------------------
 
 

@@ -9,6 +9,7 @@ from gfflab.potential import (
     BAND_BYTES,
     CG_TOL,
     DirichletOperator,
+    STOPS,
     SolverError,
     StoppingRules,
     _band_back_substitute,
@@ -112,7 +113,8 @@ def test_harmonic_potential_decay_and_mc_oracle(const_env):
     vals = [h[B.index_of([r, 0, 0])] for r in range(0, 5)]
     assert all(vals[i + 1] < vals[i] for i in range(4))
     x = [2, 0, 0]
-    freq, se = hitting_frequency(const_env, x, A, B, stream(3, "mc"), 10_000)
+    freq, se = hitting_frequency(const_env, x, StoppingRules(hit=A, exit=B),
+                                 stream(3, "mc"), 10_000)
     assert abs(freq - h[B.index_of(x)]) < 5 * se
 
 
@@ -329,6 +331,23 @@ def test_walk_requires_termination_rule():
         StoppingRules(hit=SiteSet([[0, 0, 0]]))
 
 
+def test_walk_radius_alone_terminates(const_env):
+    path = walk_simulate(const_env, [0, 0, 0], StoppingRules(radius=2),
+                         stream(16, "walk"))
+    assert path.stop_reason == "radius"
+    assert np.abs(path.skeleton[-1]).max() == 2
+    assert np.abs(path.skeleton[:-1]).max() < 2
+
+
+def test_stopping_rules_rank_hit_over_exit_over_radius():
+    rules = StoppingRules(hit=SiteSet([[0, 0, 0], [3, 0, 0]]),
+                          exit=ball([0, 0, 0], 2), radius=1)
+    pos = np.array([[0, 0, 0], [3, 0, 0], [3, 3, 0], [1, 0, 0], [1, 0, 0]])
+    origin = np.array([[0, 0, 0]] * 4 + [[1, 0, 0]])
+    assert [STOPS[k] for k in rules.fired(pos, origin)] == [
+        "hit", "hit", "exit", "radius", None]
+
+
 def test_walk_hit_priority(env):
     A = SiteSet([[0, 0, 0]])
     rules = StoppingRules(hit=A, exit=ball([0, 0, 0], 3))
@@ -375,7 +394,8 @@ def test_hitting_frequency_cross_oracle(env):
     B = ball([0, 0, 0], 4)
     h = harmonic_potential(env, A, B)
     x = [2, 1, 0]
-    freq, se = hitting_frequency(env, x, A, B, stream(13, "hf"), 10_000)
+    freq, se = hitting_frequency(env, x, StoppingRules(hit=A, exit=B),
+                                 stream(13, "hf"), 10_000)
     assert abs(freq - h[B.index_of(x)]) < 5 * se
 
 
@@ -385,6 +405,21 @@ def test_walk_window_edge_error():
     rules = StoppingRules(time_cap=1e9)
     with pytest.raises(SolverError):
         walk_simulate(small, [0, 0, 0], rules, stream(14, "edge"))
+
+
+def test_hitting_frequency_rejects_a_time_cap(env):
+    rules = StoppingRules(hit=ball([0, 0, 0], 0), exit=ball([0, 0, 0], 3),
+                          time_cap=5.0)
+    with pytest.raises(ValueError):
+        hitting_frequency(env, [1, 0, 0], rules, stream(18, "cap"), 10)
+
+
+def test_hitting_frequency_window_edge_error():
+    small = sample_environment(EnvironmentLaw.constant(1.0),
+                               box_sites([-1] * 3, [1] * 3), 0, lam=0.5)
+    rules = StoppingRules(hit=SiteSet([[5, 5, 5]]), radius=3)
+    with pytest.raises(SolverError):
+        hitting_frequency(small, [0, 0, 0], rules, stream(17, "edge"), 100)
 
 
 # -- operator backends --------------------------------------------------------
