@@ -58,17 +58,19 @@ def config_hash(config: dict) -> str:
 
 
 def law_from_config(config: dict) -> EnvironmentLaw:
-    spec = dict(config["law"])
-    kind = spec.pop("kind")
-    if kind == "constant":
-        return EnvironmentLaw.constant(spec["value"])
-    if kind == "iid_uniform":
-        return EnvironmentLaw.iid_uniform(spec["low"], spec["high"])
-    if kind == "iid_two_point":
-        return EnvironmentLaw.iid_two_point(spec["a"], spec["b"], spec["p"])
-    if kind == "checkerboard":
-        return EnvironmentLaw.checkerboard(spec["a"], spec["b"])
-    raise ValueError(f"unknown law kind {kind!r}")
+    """The law of config["law"], {"kind": k, <name>: number, ...} with
+    exactly the parameter names EnvironmentLaw.PARAMS[k]."""
+    spec = config["law"]
+    kind = spec.get("kind")
+    names = EnvironmentLaw.PARAMS.get(kind) if isinstance(kind, str) else None
+    if names is None:
+        raise ValueError(f"kind must be one of {', '.join(EnvironmentLaw.PARAMS)}")
+    if set(spec) != {"kind", *names}:
+        raise ValueError(f"{kind} takes exactly the keys {', '.join(names)}")
+    for k in names:
+        if why := _type_error(spec[k], "number"):
+            raise ValueError(f"{k} {why}")
+    return getattr(EnvironmentLaw, kind)(*(spec[k] for k in names))
 
 
 # Keys each command reads without a default, with their JSON types (a
@@ -176,12 +178,14 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 for k, v in tol.items() if _type_error(v, "number")]
     if "law" not in config:
         bad.append("missing law specification")
+    elif not isinstance(config["law"], dict):
+        bad.append("law must be of JSON type object")
     else:
         try:
             law = law_from_config(config)
             if isinstance(lam, (int, float)) and 0 < lam < 1:
                 law.validate(lam)
-        except (KeyError, ValueError) as exc:
+        except ValueError as exc:
             bad.append(f"law: {exc}")
     if command is not None and command not in config:
         bad.append(f"config has no {command!r} section")
@@ -434,6 +438,7 @@ class Runner:
                                       B_shape=B, d=self.d)
         tilt = (sec["alpha"], sec["alpha_star_ref"], sec["epsilon"],
                 sec.get("delta_shell", 0.0))
+        self.env_hash = inst.env.content_hash()
         report = disconnection_rate_experiment(
             inst, *tilt, sec["direct_replicas"], sec["tilted_replicas"],
             eps_ladder=sec.get("eps_ladder"))

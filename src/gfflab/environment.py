@@ -6,9 +6,11 @@ pure function of the absolute edge coordinates, the law and the seed
 and lattice shifts can be evaluated without storing the infinite
 configuration.
 
-Storage layout: for each axis a, `weights[a]` holds the weight of the
-edge {x, x + e_a} for every x in the padded window [lo-1, hi+1]^d. All
-edges incident to window sites are therefore available.
+Storage layout: one C-contiguous float64 array `weights`, shape (d,) +
+window, with `weights[a][x - origin]` the weight of the edge {x, x + e_a}
+for every x in the padded window [lo-1, hi+1]^d (origin = lo - 1), so all
+edges incident to window sites are available. A lookup is one bounds
+check and one `take` at flat offsets fixed per environment.
 """
 
 from __future__ import annotations
@@ -32,6 +34,10 @@ class EnvironmentLaw:
     kind: str
     params: tuple
 
+    # the parameter names of each kind, in the order its constructor takes them
+    PARAMS = {"constant": ("value",), "iid_uniform": ("low", "high"),
+              "iid_two_point": ("a", "b", "p"), "checkerboard": ("a", "b")}
+
     @classmethod
     def constant(cls, c: float) -> "EnvironmentLaw":
         return cls("constant", (float(c),))
@@ -51,14 +57,12 @@ class EnvironmentLaw:
         return cls("checkerboard", (float(a), float(b)))
 
     def value_range(self) -> tuple[float, float]:
-        if self.kind == "constant":
-            return self.params[0], self.params[0]
-        if self.kind == "iid_uniform":
-            return min(self.params), max(self.params)
-        if self.kind in ("iid_two_point", "checkerboard"):
-            a, b = self.params[0], self.params[1]
-            return min(a, b), max(a, b)
-        raise ValueError(f"unknown law kind {self.kind!r}")
+        """The least and the largest weight: every parameter but the
+        two-point probability p is an attainable weight."""
+        if self.kind not in self.PARAMS:
+            raise ValueError(f"unknown law kind {self.kind!r}")
+        values = [v for k, v in zip(self.PARAMS[self.kind], self.params) if k != "p"]
+        return min(values), max(values)
 
     def validate(self, lam: float) -> None:
         if not 0.0 < lam < 1.0:
@@ -108,14 +112,18 @@ class Conductances:
         self.offset = (np.zeros(self.d, dtype=np.int64) if offset is None
                        else as_coords(offset, self.d)[0])
         self.origin = self.lo - 1  # array index 0 corresponds to this site
-        self.weights = weights
-        shape = tuple(self.hi - self.lo + 3)
-        for a in range(self.d):
-            if self.weights[a].shape != shape:
-                raise ValueError("weight array shape does not match window")
-            wmin, wmax = float(self.weights[a].min()), float(self.weights[a].max())
-            if wmin < self.lam - 1e-12 or wmax > 1.0 + 1e-12:
-                raise ValueError("stored weights violate uniform ellipticity")
+        self.weights = np.ascontiguousarray(weights, dtype=np.float64)
+        self._shape = self.hi - self.lo + 3
+        if self.weights.shape != (self.d, *self._shape):
+            raise ValueError("weight array shape does not match window")
+        if (self.weights.min() < self.lam - 1e-12
+                or self.weights.max() > 1.0 + 1e-12):
+            raise ValueError("stored weights violate uniform ellipticity")
+        # flat index of x is (x - origin) @ _strides; the edge {x, x + s} of
+        # step s = +-e_a sits _steps[k] further, at its lower end x + min(s, 0)
+        self._strides = np.array(self.weights.strides[1:]) // 8
+        self._steps = (np.minimum(neighbor_steps(self.d), 0) @ self._strides
+                       + np.repeat(np.arange(self.d), 2) * self.weights[0].size)
 
     # -- access ------------------------------------------------------------
 
@@ -124,16 +132,14 @@ class Conductances:
         lo, hi = sites.bounding_box()
         return bool(np.all(lo >= self.lo) and np.all(hi <= self.hi))
 
-    def _index(self, sites: np.ndarray) -> tuple:
-        idx = sites - self.origin
-        if np.any(idx < 0) or np.any(idx >= np.asarray(self.weights[0].shape)):
+    def _gather(self, sites, offsets, low: int) -> np.ndarray:
+        """The stored weights at the flat index of each row x plus
+        `offsets`, shape (k,) + offsets.shape; x - origin must lie in
+        [low, window shape) on every axis."""
+        idx = as_coords(sites, self.d) - self.origin
+        if (idx < low).any() or (idx >= self._shape).any():
             raise ValueError("site outside the stored environment window")
-        return tuple(idx.T)
-
-    def forward(self, sites, axis: int) -> np.ndarray:
-        """Weight of {x, x+e_axis} for each row x (vectorized)."""
-        pts = as_coords(sites, self.d)
-        return self.weights[axis][self._index(pts)]
+        return self.weights.ravel().take(np.add.outer(idx @ self._strides, offsets))
 
     def edge_weight(self, x, y) -> float:
         x = as_coords(x, self.d)[0]
@@ -141,19 +147,14 @@ class Conductances:
         if np.abs(diff).sum() != 1:
             raise ValueError("not a nearest-neighbor edge")
         axis = int(np.nonzero(diff)[0][0])
-        return float(self.forward(np.minimum(x, x + diff), axis)[0])
+        lower = np.minimum(x, x + diff)
+        return float(self._gather(lower, self._steps[2 * axis], 0)[0])
 
     def neighbor_weights(self, sites) -> np.ndarray:
         """(k, 2d) weights of the edges {x, x + s} for each row x, one
         column per step s of `neighbor_steps(d)`, in its order. The edge
         is stored at its lower end x + min(s, 0)."""
-        idx = as_coords(sites, self.d) - self.origin
-        if np.any(idx < 1) or np.any(idx >= np.asarray(self.weights[0].shape)):
-            raise ValueError("site outside the stored environment window")
-        out = np.empty((idx.shape[0], 2 * self.d))
-        for k, s in enumerate(neighbor_steps(self.d)):
-            out[:, k] = self.weights[k // 2][tuple((idx + np.minimum(s, 0)).T)]
-        return out
+        return self._gather(sites, self._steps, 1)
 
     def site_weights(self, sites) -> np.ndarray:
         """omega_x = sum of the 2d incident edge weights."""
@@ -177,8 +178,7 @@ class Conductances:
     def content_hash(self) -> str:
         h = hashlib.sha256()
         h.update(json.dumps(self._header(), sort_keys=True).encode())
-        for a in range(self.d):
-            h.update(np.ascontiguousarray(self.weights[a], dtype="<f8").tobytes())
+        h.update(self.weights.astype("<f8", copy=False))
         return h.hexdigest()
 
     def _header(self) -> dict:
@@ -199,8 +199,7 @@ class Conductances:
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write((header + "\n").encode("utf-8"))
-            for a in range(self.d):
-                fh.write(np.ascontiguousarray(self.weights[a], dtype="<f8").tobytes())
+            fh.write(self.weights.astype("<f8", copy=False))
         with open(str(path) + ".json", "w", encoding="utf-8") as fh:
             fh.write(header + "\n")
 
@@ -210,16 +209,12 @@ class Conductances:
             if fh.read(len(_MAGIC)) != _MAGIC:
                 raise ValueError("not an environment file")
             header = json.loads(fh.readline().decode("utf-8"))
-            lo = np.asarray(header["window_lo"], dtype=np.int64)
-            hi = np.asarray(header["window_hi"], dtype=np.int64)
-            shape = tuple(hi - lo + 3)
-            count = int(np.prod(shape))
-            weights = []
-            for _ in range(header["d"]):
-                buf = fh.read(count * 8)
-                weights.append(np.frombuffer(buf, dtype="<f8").reshape(shape).copy())
+            shape = (header["d"], *np.subtract(header["window_hi"],
+                                               header["window_lo"]) + 3)
+            weights = np.frombuffer(fh.read(8 * int(np.prod(shape))), dtype="<f8")
         law = EnvironmentLaw.from_dict(header["law"]) if header["law"] else None
-        return cls(lo, hi, header["lambda"], weights, law,
+        return cls(header["window_lo"], header["window_hi"], header["lambda"],
+                   weights.reshape(shape).astype(np.float64), law,
                    seed=header["seed"], offset=header["offset"])
 
 
@@ -247,16 +242,14 @@ def sample_environment(law: EnvironmentLaw, window, seed: int, lam: float,
     shape = tuple(hi - lo + 3)
     # the padded window slab by slab along axis 0, each slab's origins in
     # lexicographic order, so memory is one slab of coordinates
-    rest = np.meshgrid(*[np.arange(lo[a] - 1, hi[a] + 2) + off[a]
-                         for a in range(1, d)], indexing="ij")
-    slab = np.empty((rest[0].size, d), dtype=np.int64)
-    for a in range(1, d):
-        slab[:, a] = rest[a - 1].ravel()
-    weights = [np.empty(shape) for _ in range(d)]
-    for i in range(shape[0]):
-        slab[:, 0] = lo[0] - 1 + i + off[0]
+    axes = [np.arange(lo[a] - 1, hi[a] + 2) + off[a] for a in range(d)]
+    slab = np.stack(np.meshgrid(axes[0][:1], *axes[1:], indexing="ij"),
+                    axis=-1).reshape(-1, d)
+    weights = np.empty((d,) + shape)
+    for i, x0 in enumerate(axes[0]):
+        slab[:, 0] = x0
         for a in range(d):
-            weights[a][i] = law.evaluate(slab, a, seed).reshape(shape[1:])
+            weights[a, i] = law.evaluate(slab, a, seed).reshape(shape[1:])
     return Conductances(lo, hi, lam, weights, law, seed=seed, offset=off, d=d)
 
 

@@ -255,6 +255,10 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
     """
     if mode not in ("vsrw", "csrw"):
         raise ValueError("mode must be 'vsrw' or 'csrw'")
+    if not t_horizon > 0:
+        raise ValueError("t_horizon must be > 0")
+    if replicas < 2:  # the standard error divides by replicas - 1
+        raise ValueError("replicas must be >= 2")
     window_half = int(math.ceil(6.0 * math.sqrt(2.0 * d * t_horizon))) + 2
     env = sample_environment(law, ([-window_half] * d, [window_half] * d),
                              seed, lam)

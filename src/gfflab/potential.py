@@ -9,10 +9,11 @@ One symmetric positive-definite solve therefore serves Green functions,
 harmonic potentials, capacities and field covariances alike.
 
 Edges are enumerated in two places, both in the step order of
-`lattice.neighbor_steps`: `_inner_edges` lists the edges inside a domain
-(for L_U and its incidence factor), and `Conductances.neighbor_weights`
-the 2d edge weights at each site (for site weights, boundary data and
-walk steps). Dirichlet energies are quadratic forms of L_U.
+`lattice.neighbor_steps`: `Conductances.neighbor_weights` reads the 2d
+edge weights at each site in one gather (for site weights, boundary data
+and walk steps), and `_inner_edges` lists the edges inside a domain from
+them (for L_U and its incidence factor). Dirichlet energies are
+quadratic forms of L_U.
 
 Capacities are read from the flux on A: the equilibrium measure is
 (L_B h)(x) = sum_y omega_{x,y} (h(x) - h(y)) at each x of A, taken from
@@ -39,14 +40,14 @@ call, not once per draw. Without a factor the draw is x = L_U^{-1} F^T z,
 F the incidence factor with F^T F = L_U and z one standard normal per row
 of F, solved by PCG: again covariance L_U^{-1}, with no factor built.
 
-Walks: one engine, `_walk`, steps every batch of walkers in lock step
-(`hitting_frequency`, `homogenization.estimate_diffusivity`), and
-`walk_simulate` records a single path. Both stop a walker by one set of
-rules, `StoppingRules`: `fired` checks hit, then exit, then radius on the
-skeleton, and the time cap reads the clock. Both read weights through one
-edge-checked lookup and share one step budget: reaching the edge of the
-environment window, or taking `MAX_WALK_STEPS` steps without stopping,
-raises `SolverError`.
+Walks: one loop, `_walk`, steps every walker, in lock step for a batch
+(`hitting_frequency`, `homogenization.estimate_diffusivity`) and alone,
+with its path recorded, for `walk_simulate`. One set of rules,
+`StoppingRules`, stops a walker: `fired` checks hit, then exit, then
+radius on the skeleton, and the time cap reads the clock, which runs only
+with a walk mode. Each step reads the 2d weights of every walker by one
+edge-checked gather; reaching the edge of the environment window, or
+taking `MAX_WALK_STEPS` steps without stopping, raises `SolverError`.
 """
 
 from __future__ import annotations
@@ -80,25 +81,28 @@ class SolverError(RuntimeError):
     pass
 
 
-def _inner_edges(env: Conductances, U: SiteSet) -> tuple[np.ndarray, ...]:
+def _inner_edges(U: SiteSet, nw: np.ndarray) -> tuple[np.ndarray, ...]:
     """The edges {x, x + e_a} with both ends in U, axis by axis: dense
-    indices i of x and j of x + e_a in U, and the edge weights w."""
+    indices i of x and j of x + e_a in U, and the edge weights w, read
+    from the neighbor weights nw of U."""
     parts = []
     for a, step in enumerate(neighbor_steps(U.d)[::2]):
         j = U.locate(U.coords + step)
         i = np.nonzero(j >= 0)[0]
-        parts.append((i, j[i], env.forward(U.coords[i], a)))
+        parts.append((i, j[i], nw[i, 2 * a]))
     return tuple(np.concatenate(p) for p in zip(*parts))
 
 
 def killed_laplacian(env: Conductances, U: SiteSet) -> sp.csr_matrix:
     """Assemble L_U (diagonal = full site weight, so leaving U kills)."""
     n = len(U)
-    i, j, w = _inner_edges(env, U)
+    nw = env.neighbor_weights(U.coords)
+    i, j, w = _inner_edges(U, nw)
+    data = np.concatenate([nw.sum(axis=1), -w, -w])
+    del nw  # not held through the assembly, which sets the memory peak
     ii = np.arange(n)
     mat = sp.coo_matrix(
-        (np.concatenate([env.site_weights(U.coords), -w, -w]),
-         (np.concatenate([ii, i, j]), np.concatenate([ii, j, i]))),
+        (data, (np.concatenate([ii, i, j]), np.concatenate([ii, j, i]))),
         shape=(n, n),
     )
     return mat.tocsr()
@@ -217,10 +221,11 @@ class DirichletOperator:
         # per site with edges leaving U, the root of their total weight
         if self._incidence is None:
             U = self.sites
-            i, j, w = _inner_edges(self.env, U)
+            nw = self.env.neighbor_weights(U.coords)
+            i, j, w = _inner_edges(U, nw)
             leaving = np.stack([U.locate(U.coords + s) < 0
                                 for s in neighbor_steps(U.d)], axis=1)
-            kill = (self.env.neighbor_weights(U.coords) * leaving).sum(axis=1)
+            kill = (nw * leaving).sum(axis=1)
             k_idx = np.nonzero(kill)[0]
             m, r = len(w), np.arange(len(w))
             s = np.sqrt(w)
@@ -373,13 +378,13 @@ def boundary_flux_rhs(env: Conductances, U: SiteSet, data_sites: SiteSet,
     single = values.ndim == 1
     block = values[:, None] if single else values
     rhs = np.zeros((len(U), block.shape[1]))
+    w = env.neighbor_weights(U.coords)
     for k, step in enumerate(neighbor_steps(U.d)):
         nb = U.coords + step
         j = data_sites.locate(nb)
         mask = (j >= 0) & (U.locate(nb) < 0)
         if np.any(mask):
-            w = env.neighbor_weights(U.coords[mask])[:, k]
-            rhs[mask] += w[:, None] * block[j[mask]]
+            rhs[mask] += w[mask, k, None] * block[j[mask]]
     return rhs[:, 0] if single else rhs
 
 
@@ -597,13 +602,6 @@ class WalkPath:
     total_time: float
 
 
-def _weights(env: Conductances, pos: np.ndarray) -> np.ndarray:
-    try:
-        return env.neighbor_weights(pos)
-    except ValueError as exc:
-        raise SolverError("walk reached the environment window edge") from exc
-
-
 def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Walker i at pos[i] takes step m of `neighbor_steps` for the first m
     with u_i < c_m, c the cumulative sums of its neighbor weights w[i] and
@@ -613,34 +611,43 @@ def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _walk(env: Conductances, pos: np.ndarray, rules: StoppingRules,
-          rng: np.random.Generator, mode: str | None = None):
+          rng: np.random.Generator, mode: str | None = None,
+          _path: list | None = None):
     """Step the walkers at the rows of pos in lock step until `rules` stop
     each; return their final positions and stop reasons (indices into
     STOPS). With a mode, each step draws the holding times, Exp(1) for
-    'csrw' or Exp(omega_y) for 'vsrw', before one uniform per mover."""
-    if (mode is None) != (rules.time_cap is None):
-        raise ValueError("a walk mode and a time cap go together")
+    'csrw' or Exp(omega_y) for 'vsrw', before one uniform per mover; a
+    time cap needs a mode. With a mode, a `_path` list gets one (holding
+    times, new positions) pair of the movers per step."""
+    if mode is None and rules.time_cap is not None:
+        raise ValueError("a time cap needs a walk mode")
     origin, pos = pos, pos.copy()
     why = np.zeros(len(pos), dtype=np.int8)
     clock = np.zeros(len(pos))
     idx = np.arange(len(pos))
     for _ in range(MAX_WALK_STEPS):
-        p = pos[idx]
-        why[idx] = stop = rules.fired(p, origin[idx])
-        go = stop == 0
-        idx, p = idx[go], p[go]
+        why[idx] = stop = rules.fired(pos[idx], origin[idx])
+        idx = idx[stop == 0]
         if not idx.size:
             return pos, why
-        w = _weights(env, p)
+        p = pos[idx]
+        try:
+            w = env.neighbor_weights(p)
+        except ValueError as exc:
+            raise SolverError("walk reached the environment window edge") from exc
         omega = w.sum(axis=1)
         if mode is not None:
             rate = omega if mode == "vsrw" else np.ones_like(omega)
-            clock[idx] += rng.exponential(1.0 / rate)
-            go = clock[idx] < rules.time_cap
-            why[idx[~go]] = STOPS.index("time_cap")
-            idx, p, w, omega = idx[go], p[go], w[go], omega[go]
+            hold = rng.exponential(1.0 / rate)
+            clock[idx] += hold
+            if rules.time_cap is not None:
+                go = clock[idx] < rules.time_cap
+                why[idx[~go]] = STOPS.index("time_cap")
+                idx, p, w, omega, hold = idx[go], p[go], w[go], omega[go], hold[go]
         pos[idx] = _jump(p, w, rng.random(idx.size) * omega)
-    raise SolverError("batched walk exceeded the step budget")
+        if _path is not None:
+            _path.append((hold, pos[idx]))
+    raise SolverError("walk exceeded the step budget without stopping")
 
 
 def walk_simulate(env: Conductances, start, rules: StoppingRules,
@@ -650,30 +657,18 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
     Skeleton transitions jump from y to a neighbor z with probability
     omega_{y,z} / omega_y; holding times are Exp(1) for the CSRW and
     Exp(omega_y) for the VSRW. Hitting, exit and radius rules are
-    skeleton events; the time cap uses the clock.
+    skeleton events; the time cap uses the clock. The walk is `_walk`'s,
+    with one walker and its path recorded.
     """
     if mode not in ("csrw", "vsrw"):
         raise ValueError("mode must be 'csrw' or 'vsrw'")
-    pos = origin = as_coords(start, env.d)[:1]
-    skeleton = [pos[0]]
-    holdings: list[float] = []
-    elapsed = 0.0
-    for _ in range(MAX_WALK_STEPS):
-        why = rules.fired(pos, origin)[0]
-        if why:
-            return WalkPath(np.array(skeleton), np.array(holdings), STOPS[why], elapsed)
-        w = _weights(env, pos)
-        omega = w.sum(axis=1)
-        rate = 1.0 if mode == "csrw" else float(omega[0])
-        zeta = rng.exponential(1.0 / rate)
-        if rules.time_cap is not None and elapsed + zeta >= rules.time_cap:
-            return WalkPath(np.array(skeleton), np.array(holdings), "time_cap",
-                            rules.time_cap)
-        elapsed += zeta
-        holdings.append(zeta)
-        pos = _jump(pos, w, rng.random(1) * omega)
-        skeleton.append(pos[0])
-    raise SolverError("walk exceeded the step budget without stopping")
+    origin = as_coords(start, env.d)[:1]
+    path = [(np.empty(0), origin)]
+    why = STOPS[_walk(env, origin, rules, rng, mode, path)[1][0]]
+    holding, skeleton = (np.concatenate(part) for part in zip(*path))
+    elapsed = float(np.cumsum(holding)[-1]) if holding.size else 0.0
+    return WalkPath(skeleton, holding, why,
+                    rules.time_cap if why == "time_cap" else elapsed)
 
 
 def hitting_frequency(env: Conductances, start, rules: StoppingRules,

@@ -9,6 +9,10 @@ disguise: it is deleted and its default inlined.
 Calls are matched by the called name alone, so every function sharing
 that name counts a call; a call through `*args` or `**kwargs` counts as
 passing every parameter it could reach.
+
+The same parse checks that `environment.py` is the only module of the
+package that reads an attribute named `weights`, so the stored layout of
+the conductances stays behind `Conductances`' lookups.
 """
 
 from __future__ import annotations
@@ -102,3 +106,15 @@ def test_the_scan_sees_functions_and_calls():
     assert "potential.green_killed" in quals
     assert "interfaces.DensityProfile.density" in quals
     assert "green_killed" in _calls()
+
+
+def _weights_readers() -> set[str]:
+    """Modules of the package with an attribute access `<expr>.weights`."""
+    return {path.stem for path in PACKAGE.glob("*.py")
+            for node in ast.walk(_parse(path))
+            if isinstance(node, ast.Attribute) and node.attr == "weights"}
+
+
+def test_only_the_environment_module_reads_the_stored_weights():
+    # the stacked (d,) + window layout stays behind Conductances' lookups
+    assert _weights_readers() == {"environment"}

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gfflab.cli import main, validate
-from gfflab.environment import Conductances
+from gfflab.environment import Conductances, EnvironmentLaw
 
 
 def _write(tmp_path, config, name="config.json"):
@@ -89,6 +89,21 @@ def test_env_run_constant_weights(tmp_path):
         assert np.all(env.weights[a] == 1.0)
     manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
     assert manifest["environment_hash"] == env.content_hash()
+
+
+def test_disconnect_manifest_records_its_environment(tmp_path):
+    from gfflab.homogenization import _DisconnectionInstance
+    from gfflab.lattice import shape_from_spec
+
+    cfg = _base(tmp_path)
+    cfg["law"] = {"kind": "iid_uniform", "low": 0.5, "high": 1.0}
+    cfg["disconnect"] = dict(_DISCONNECT)
+    assert main(["disconnect", "--config", _write(tmp_path, cfg)]) == 0
+    inst = _DisconnectionInstance(
+        EnvironmentLaw.iid_uniform(0.5, 1.0), shape_from_spec(_DISCONNECT["A"]),
+        _DISCONNECT["M"], _DISCONNECT["N"], 0.5, cfg["master_seed"])
+    manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
+    assert manifest["environment_hash"] == inst.env.content_hash()
 
 
 def test_potential_run_singleton_capacity(tmp_path):
@@ -276,6 +291,25 @@ _DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
+
+
+@pytest.mark.parametrize("law, message", [
+    ({"kind": "constant", "value": True}, "law: value must be of JSON type number"),
+    ({"kind": "constant", "value": "1.0"}, "law: value must be of JSON type number"),
+    ({"kind": "iid_uniform", "low": 0.5, "high": 1.0, "p": 0.3},
+     "law: iid_uniform takes exactly the keys low, high"),
+    (["constant", 1.0], "law must be of JSON type object"),
+])
+def test_law_parameters_are_checked_like_config_keys(tmp_path, capsys, law,
+                                                     message):
+    cfg = _base(tmp_path)
+    cfg["law"] = law
+    cfg["env"] = {"window_lo": [0, 0, 0], "window_hi": [1, 1, 1]}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert message in capsys.readouterr().out.splitlines()
+    assert main(["env", "--config", path]) == 2
+    assert not (tmp_path / "run1").exists()
 
 
 def test_negative_padding_exits_2_before_any_output(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -148,6 +150,19 @@ def test_save_load_round_trip(tmp_path):
     assert back.content_hash() == env.content_hash()
     assert (tmp_path / "env.bin.json").exists()
     assert back.law.kind == "iid_two_point"
+
+
+def test_stored_bytes_and_hash_are_pinned(tmp_path):
+    # recorded from the per-axis storage; the stacked array must not move them
+    env = sample_environment(EnvironmentLaw.iid_uniform(0.5, 1.0),
+                             ([-2, -1, 0], [1, 2, 2]), 11, 0.5, offset=[3, -2, 1])
+    assert env.content_hash() == (
+        "1505f99259a7994d6ca9a961eda899639b4a12235109866fa00de7d18894826c")
+    env.save(tmp_path / "environment.bin")
+    assert hashlib.sha256((tmp_path / "environment.bin").read_bytes()).hexdigest() == (
+        "af2d07730608eed065b281571f2d52fc43b38b062179fc0caa33570ec5b3feda")
+    back = Conductances.load(tmp_path / "environment.bin")
+    assert np.array_equal(back.weights, env.weights)
 
 
 def test_out_of_window_access_raises():

@@ -247,6 +247,14 @@ def test_diffusivity_mode_guard():
         estimate_diffusivity(CONST, 0.5, 10.0, 10, 0, mode="warp")
 
 
+def test_diffusivity_rejects_too_few_replicas_and_a_nonpositive_horizon():
+    with pytest.raises(ValueError, match="replicas must be >= 2"):
+        estimate_diffusivity(CONST, 0.5, 10.0, 1, 0)
+    for t in (0.0, -1.0):
+        with pytest.raises(ValueError, match="t_horizon must be > 0"):
+            estimate_diffusivity(CONST, 0.5, t, 10, 0)
+
+
 def test_diffusivity_walk_step_budget(monkeypatch):
     monkeypatch.setattr(potential, "MAX_WALK_STEPS", 5)
     with pytest.raises(potential.SolverError):

@@ -389,6 +389,67 @@ def test_walk_vsrw_holding_rate(const_env):
     assert abs(mean - 1 / 6) < 5 * np.std(totals) / np.sqrt(len(totals))
 
 
+def _reference_walk(env, start, rules, rng, mode):
+    """A walk stepped by hand: the rules at each site in the order hit,
+    exit, radius; then one Exp(rate) holding time, checked against the
+    cap; then one uniform in [0, omega) picking the first step of
+    `neighbor_steps` whose cumulative edge weight exceeds it."""
+    x = origin = np.array(start)
+    skeleton, holds, elapsed = [x], [], 0.0
+    while True:
+        for reason, stop in (
+                ("hit", rules.hit is not None and x in rules.hit),
+                ("exit", rules.exit is not None and x not in rules.exit),
+                ("radius", rules.radius is not None
+                 and np.abs(x - origin).max() >= rules.radius)):
+            if stop:
+                return np.array(skeleton), np.array(holds), reason, elapsed
+        w = [env.edge_weight(x, x + s) for s in neighbor_steps(3)]
+        zeta = rng.exponential(1.0 / (1.0 if mode == "csrw" else sum(w)))
+        if rules.time_cap is not None and elapsed + zeta >= rules.time_cap:
+            return np.array(skeleton), np.array(holds), "time_cap", rules.time_cap
+        elapsed += zeta
+        holds.append(zeta)
+        u, c, m = rng.random() * sum(w), 0.0, 0
+        while m < 5 and u >= c + w[m]:
+            c += w[m]
+            m += 1
+        x = x + neighbor_steps(3)[m]
+        skeleton.append(x)
+
+
+@pytest.mark.parametrize("mode", ["csrw", "vsrw"])
+def test_walk_paths_match_a_reference_stepper(env, mode):
+    rule_sets = [
+        StoppingRules(exit=ball([0, 0, 0], 2)),
+        StoppingRules(hit=SiteSet([[1, 0, 0], [0, -1, 1]]), exit=ball([0, 0, 0], 3)),
+        StoppingRules(radius=2),
+        StoppingRules(time_cap=0.8),
+        StoppingRules(hit=SiteSet([[2, 0, 0]]), exit=ball([0, 0, 0], 3), radius=2,
+                      time_cap=0.6),
+    ]
+    reasons = set()
+    for k, rules in enumerate(rule_sets):
+        rng, ref_rng = stream(21, mode, k), stream(21, mode, k)
+        for _ in range(40):
+            path = walk_simulate(env, [0, 1, 0], rules, rng, mode=mode)
+            skeleton, holds, reason, total = _reference_walk(env, [0, 1, 0], rules,
+                                                             ref_rng, mode)
+            assert np.array_equal(path.skeleton, skeleton.reshape(-1, 3))
+            assert np.array_equal(path.holding_times, holds)
+            assert (path.stop_reason, path.total_time) == (reason, total)
+            reasons.add(reason)
+    assert reasons == {"hit", "exit", "radius", "time_cap"}
+    small = sample_environment(EnvironmentLaw.constant(1.0),
+                               box_sites([-1] * 3, [1] * 3), 0, lam=0.5)
+    with pytest.raises(SolverError, match="window edge"):
+        walk_simulate(small, [0, 0, 0], StoppingRules(time_cap=1e9),
+                      stream(22, mode), mode=mode)
+    with pytest.raises(ValueError, match="outside the stored environment window"):
+        _reference_walk(small, [0, 0, 0], StoppingRules(time_cap=1e9),
+                        stream(22, mode), mode)
+
+
 def test_hitting_frequency_cross_oracle(env):
     A = ball([0, 0, 0], 0)
     B = ball([0, 0, 0], 4)
