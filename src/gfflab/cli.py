@@ -195,6 +195,14 @@ def validate(config: dict, command: str | None = None) -> list[str]:
         if missing:
             bad.extend(missing)
             continue
+        if name == "disconnect":
+            # each epsilon keys its own tilted stream, so a repeat redraws one
+            ladder = sec.get("eps_ladder", [])
+            eps = [v for v in ladder if not _type_error(v, "number")]
+            if len(eps) < len(ladder):
+                bad.append("disconnect: eps_ladder entries must be of JSON type number")
+            if len(set(eps)) < len(eps):
+                bad.append("disconnect: eps_ladder must not repeat a value")
         if name in ("homogenize", "disconnect"):
             try:
                 A = shape_from_spec(sec["A"])

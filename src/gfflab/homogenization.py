@@ -12,7 +12,11 @@ operator and the seed of every draw stream. Both experiments read all of
 these from the instance alone, so one instance serves `gfflab
 disconnect` whole. Their Monte Carlo loops draw `CHUNK` fields per block
 through `percolation._draw_blocks`; the chunk fixes which normals each
-draw consumes, so it is a constant of the outputs, not a knob.
+draw consumes, so it is a constant of the outputs, not a knob. The
+direct loop and the tilted loop of every epsilon of the ladder are one
+pipeline, one stream each in that order, so the first block of each
+tilted stream is drawn while the previous stream's last block is
+labelled; the per-epsilon tilt shifts are fixed before it starts.
 
 All "as N grows" statements are rendered as Cauchy/trend verdicts over a
 finite ladder of scales; nothing here certifies an asymptotic constant.
@@ -354,7 +358,7 @@ class _DisconnectionInstance:
         lo, hi = self.domain.bounding_box()
         self._shape = tuple(hi - lo + 1)
         self._seed = tuple((self.A_N.coords - lo).T)
-        self._target = (slice(None),) + tuple((self.S_N.coords - lo).T)
+        self._target = tuple((self.S_N.coords - lo).T)
         self._tilts: dict[float, tuple[np.ndarray, float]] = {}
 
     def tilt_function(self, delta_shell: float) -> tuple[np.ndarray, float]:
@@ -375,7 +379,7 @@ class _DisconnectionInstance:
     def disconnected(self, fields: np.ndarray, alpha: float) -> np.ndarray:
         """Bool per column: no level-set path from A_N to the shell."""
         mask = (fields >= alpha).T.reshape((fields.shape[1],) + self._shape)
-        return ~_seed_clusters(mask, self._seed)[self._target].any(axis=1)
+        return ~_seed_clusters(mask, self._seed, self._target).any(axis=1)
 
 
 def _shifted_weights(logw: np.ndarray, keep: np.ndarray) -> tuple[np.ndarray, float]:
@@ -418,30 +422,37 @@ def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
     seed all come from `inst`, whose tilt profile is solved once.
     """
     N, M, d, seed = inst.N, inst.M, inst.domain.d, inst.seed
-    rng = stream(seed, "disconnect-direct")
-    hits = sum(int(inst.disconnected(block, alpha).sum())
-               for block in _draw_blocks(inst.op, rng, direct_replicas, CHUNK))
-    p_direct = hits / direct_replicas
-    se_direct = binomial_se(p_direct, direct_replicas)
-
     ladder_eps = list(eps_ladder) if eps_ladder is not None else [epsilon]
     if epsilon not in ladder_eps:
         ladder_eps.append(epsilon)
     g, cap_tilt = inst.tilt_function(delta_shell)
+    shifts = [-(alpha_star_ref - alpha + eps) * g for eps in ladder_eps]
+    # stream 0 is the direct loop, stream 1 + j the tilted loop of ladder_eps[j]
+    streams = [(stream(seed, "disconnect-direct"), direct_replicas)] + [
+        (stream(seed, "disconnect-tilted", repr(float(eps))), tilted_replicas)
+        for eps in ladder_eps]
+    hits = 0
+    discs = [[] for _ in ladder_eps]
+    logws = [[] for _ in ladder_eps]
+    for i, block in _draw_blocks(inst.op, streams, CHUNK):
+        if i == 0:
+            hits += int(inst.disconnected(block, alpha).sum())
+            continue
+        f = shifts[i - 1]
+        block += f[:, None]
+        discs[i - 1].append(inst.disconnected(block, alpha))
+        logws[i - 1].append(tilt_log_weights(inst.env, inst.domain, f, block,
+                                             op=inst.op))
+    p_direct = hits / direct_replicas
+    se_direct = binomial_se(p_direct, direct_replicas)
+
     ladder = []
     main_point = None
-    for eps in ladder_eps:
+    for j, eps in enumerate(ladder_eps):
         strength = alpha_star_ref - alpha + eps
-        f = -strength * g
         H = 0.5 * strength ** 2 * cap_tilt
-        trng = stream(seed, "disconnect-tilted", repr(float(eps)))
-        logws, discs = [], []
-        for block in _draw_blocks(inst.op, trng, tilted_replicas, CHUNK):
-            block += f[:, None]
-            discs.append(inst.disconnected(block, alpha))
-            logws.append(tilt_log_weights(inst.env, inst.domain, f, block, op=inst.op))
-        disc = np.concatenate(discs)
-        wd, top = _shifted_weights(np.concatenate(logws), disc)
+        disc = np.concatenate(discs[j])
+        wd, top = _shifted_weights(np.concatenate(logws[j]), disc)
         wsum = float(wd.sum())
         w2sum = float((wd ** 2).sum())
         n = tilted_replicas
@@ -528,7 +539,7 @@ def repulsion_experiment(inst: _DisconnectionInstance, alpha: float,
 
     trng = stream(inst.seed, "repulsion-tilted")
     pair_vals, disc_flags, logws = [], [], []
-    for block in _draw_blocks(inst.op, trng, tilted_replicas, CHUNK):
+    for _, block in _draw_blocks(inst.op, [(trng, tilted_replicas)], CHUNK):
         block += f[:, None]
         pair_vals.append(block.T @ eta_tilde)
         disc_flags.append(inst.disconnected(block, alpha))

@@ -5,29 +5,38 @@ Connectivity is always nearest-neighbor (|x-y|_1 = 1); diagonal sites do
 not touch. Component diameters are l-infinity diameters of the site set.
 
 One kernel, `_seed_clusters`, answers every replica-parallel level-set
-question: over a (k,)+box boolean block it returns the sites whose
-cluster touches a seed set. Crossing events, the two-point function and
-the disconnection event of `homogenization` are one reduction of its
-output each. `components()` labels a level set of any SiteSet on the
-grid of its bounding box, which serves `is_connected` and the box
-classification. Each call of either builds the nearest-neighbor
-structure for ndimage.label once, from the rank of its box.
+question: over a (k,)+box boolean block it returns which target sites
+lie in a cluster that touches a seed set. Crossing events, the
+two-point function and the disconnection event of `homogenization` are
+one reduction of its output each. `components()` labels a level set of
+any SiteSet on the grid of its bounding box, which serves `is_connected`
+and the box classification. Each call of either builds the
+nearest-neighbor structure for ndimage.label once, from the rank of its
+box.
 
 The crossing event {B(x,L) <-> the sphere |y - x|_inf = 2L} is labelled
 on ball(x, 2L) alone, although the field is drawn on the padded domain:
 a nearest-neighbor step moves |y - x|_inf by at most 1, so a path from
 B(x,L) meets that sphere before it can leave the ball.
 
-Every Monte Carlo estimator draws its fields through one loop,
-`_draw_blocks`: `replicas` draws from one operator, in blocks of at most
-`chunk` columns. A block of k draws consumes k * n normals at once, so
-the chunk of a call site fixes which draw sees which normals and is part
-of the site's output; each site keeps its own.
+Every Monte Carlo estimator draws its fields through one pipeline,
+`_draw_blocks`: for each of a list of (generator, replicas) streams, that
+many draws from one operator, in blocks of at most `chunk` columns. A
+block of k draws consumes k * n normals at once, so the chunk of a call
+site fixes which draw sees which normals and is part of the site's
+output; each site keeps its own. One worker thread per call draws block
+b + 1 while the caller labels block b, and it alone touches the
+generators, in the serial order of blocks and shapes, so every output is
+identical to drawing inline. It starts a block only once the caller has
+taken the one before, so at most two blocks are live: the caller's and
+the one being drawn. A caller must not draw from a pipeline's
+generators inside its loop.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -130,28 +139,50 @@ def disconnection_event(phi: FieldSample, alpha: float, A_N: SiteSet,
 # Replica-parallel level-set connectivity kernel
 
 
-def _seed_clusters(mask: np.ndarray, seed) -> np.ndarray:
-    """Sites of a (k,)+box boolean block whose nearest-neighbor cluster,
-    within their own replica, contains a seed site; `seed` is an index
-    tuple into one replica's box. The answer overwrites `mask`, which is
-    returned, so a block costs no second copy."""
+def _seed_clusters(mask: np.ndarray, seed, target) -> np.ndarray:
+    """(k, len(target)) bool over a (k,)+box boolean block: whether each
+    target site's nearest-neighbor cluster, within its own replica,
+    contains a seed site. `seed` and `target` are index tuples into one
+    replica's box; only the target sites are read back from the labels."""
     cross = ndimage.generate_binary_structure(mask.ndim - 1, 1)
+    flat = np.ravel_multi_index(target, mask.shape[1:])
+    out = np.empty((mask.shape[0], flat.size), dtype=bool)
     for j in range(mask.shape[0]):
         labels, n = ndimage.label(mask[j], cross)
         touch = np.zeros(n + 1, dtype=bool)
         touch[labels[seed]] = True
         touch[0] = False
-        mask[j] = touch[labels]
-    return mask
+        out[j] = touch[labels.ravel()[flat]]
+    return out
 
 
-def _draw_blocks(op: DirichletOperator, rng: np.random.Generator,
-                 replicas: int, chunk: int):
-    """Yield `replicas` field draws on op's domain as (n, k) blocks of
-    k = min(chunk, draws left) columns, from successive normals of rng."""
-    for done in range(0, replicas, chunk):
-        yield sample_matrix(op.env, op.sites, min(chunk, replicas - done),
-                            rng, op=op)
+def _draw_blocks(op: DirichletOperator, streams, chunk: int):
+    """Yield (i, block) for each stream i = (rng, replicas) in list order:
+    its `replicas` field draws on op's domain as (n, k) blocks of
+    k = min(chunk, draws left) columns, from successive normals of rng.
+
+    One worker thread draws the next block while the caller holds this
+    one. The band factor, when a block's draw pays for it, is built here
+    on the calling thread while the worker is idle, never inside it."""
+    jobs = [(i, rng, min(chunk, replicas - done))
+            for i, (rng, replicas) in enumerate(streams)
+            for done in range(0, replicas, chunk)]
+    if not jobs:
+        return
+    with ThreadPoolExecutor(1) as pool:
+
+        def submit(i, rng, k):
+            if op._band_pays(k):
+                op._get_lu()
+            return i, pool.submit(sample_matrix, op.env, op.sites, k, rng, op=op)
+
+        pending = submit(*jobs[0])
+        for job in jobs[1:] + [None]:
+            i, future = pending
+            block = future.result()
+            if job is not None:
+                pending = submit(*job)
+            yield i, block
 
 
 # ---------------------------------------------------------------------------
@@ -209,14 +240,13 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         shape = (4 * Lv + 1,) * env.d
         lo = x - 2 * Lv
         inner = tuple((ball(x, Lv, env.d).coords - lo).T)
-        target = (slice(None),) + tuple(
-            (linf_sphere(2 * Lv, env.d, center=x).coords - lo).T)
+        target = tuple((linf_sphere(2 * Lv, env.d, center=x).coords - lo).T)
         op = DirichletOperator(env, domain)
         hits = np.zeros(len(alphas), dtype=np.int64)
-        for block in _draw_blocks(op, stream(seed, "crossing", Lv), replicas, 256):
+        for _, block in _draw_blocks(op, [(stream(seed, "crossing", Lv), replicas)], 256):
             field = block[rows].T.reshape((block.shape[1],) + shape)
             for ia, av in enumerate(alphas):
-                hits[ia] += _seed_clusters(field >= av, inner)[target].any(axis=1).sum()
+                hits[ia] += _seed_clusters(field >= av, inner, target).any(axis=1).sum()
         for ia, av in enumerate(alphas):
             p = hits[ia] / replicas
             results.append(CrossingEstimate(float(av), Lv, float(p),
@@ -269,10 +299,10 @@ def connectivity_function(env: Conductances, alpha: float, x, z_list,
     shape = tuple(hi - lo + 1)
     hits = np.zeros(len(zs), dtype=np.int64)
     x_idx = tuple(x - lo)
-    z_idx = (slice(None),) + tuple((np.array(zs) + x - lo).T)
-    for block in _draw_blocks(op, stream(seed, "connectivity"), replicas, 256):
+    z_idx = tuple((np.array(zs) + x - lo).T)
+    for _, block in _draw_blocks(op, [(stream(seed, "connectivity"), replicas)], 256):
         mask = (block >= alpha).T.reshape((block.shape[1],) + shape)
-        hits += _seed_clusters(mask, x_idx)[z_idx].sum(axis=0)
+        hits += _seed_clusters(mask, x_idx, z_idx).sum(axis=0)
     ests = []
     for iz, z in enumerate(zs):
         p = hits[iz] / replicas
@@ -413,7 +443,7 @@ def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
         raise ValueError("event boxes must be disjoint")
     op = DirichletOperator(env, domain)
     n1 = n12 = n2m = n2p = 0
-    for block in _draw_blocks(op, stream(seed, "decoupling"), replicas, 512):
+    for _, block in _draw_blocks(op, [(stream(seed, "decoupling"), replicas)], 512):
         e1 = event1(block)
         e2 = event2(block)
         n1 += int(e1.sum())

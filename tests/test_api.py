@@ -12,7 +12,9 @@ passing every parameter it could reach.
 
 The same parse checks that `environment.py` is the only module of the
 package that reads an attribute named `weights`, so the stored layout of
-the conductances stays behind `Conductances`' lookups.
+the conductances stays behind `Conductances`' lookups, and that
+`percolation.py`, home of the draw pipeline, is the only one that imports
+`threading` or `concurrent.futures`.
 """
 
 from __future__ import annotations
@@ -118,3 +120,19 @@ def _weights_readers() -> set[str]:
 def test_only_the_environment_module_reads_the_stored_weights():
     # the stacked (d,) + window layout stays behind Conductances' lookups
     assert _weights_readers() == {"environment"}
+
+
+def _thread_importers() -> set[str]:
+    """Modules of the package that import threading or concurrent.futures."""
+    roots = {"threading", "concurrent"}
+    return {path.stem for path in PACKAGE.glob("*.py")
+            for node in ast.walk(_parse(path))
+            if (isinstance(node, ast.Import)
+                and any(a.name.split(".")[0] in roots for a in node.names))
+            or (isinstance(node, ast.ImportFrom) and node.level == 0
+                and node.module.split(".")[0] in roots)}
+
+
+def test_only_the_draw_pipeline_imports_threads():
+    # one concurrency site; a thread count is not a knob of any other layer
+    assert _thread_importers() == {"percolation"}

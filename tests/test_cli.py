@@ -106,6 +106,26 @@ def test_disconnect_manifest_records_its_environment(tmp_path):
     assert manifest["environment_hash"] == inst.env.content_hash()
 
 
+def test_disconnect_exits_3_when_a_draw_fails(tmp_path, monkeypatch, capsys):
+    from gfflab.potential import DirichletOperator, SolverError
+
+    calls = []
+    real = DirichletOperator.sample_gaussian
+
+    def failing(self, rng, count):
+        calls.append(count)
+        if len(calls) == 2:
+            raise SolverError("second draw fails")
+        return real(self, rng, count)
+
+    monkeypatch.setattr(DirichletOperator, "sample_gaussian", failing)
+    cfg = _base(tmp_path)
+    cfg["disconnect"] = dict(_DISCONNECT)
+    assert main(["disconnect", "--config", _write(tmp_path, cfg)]) == 3
+    assert "solver failure: second draw fails" in capsys.readouterr().err
+    assert len(calls) == 2
+
+
 def test_potential_run_singleton_capacity(tmp_path):
     cfg = _base(tmp_path)
     cfg["potential"] = {"A_center": [0, 0, 0], "A_radius": 0,
@@ -309,6 +329,25 @@ def test_law_parameters_are_checked_like_config_keys(tmp_path, capsys, law,
     assert main(["validate", "--config", path]) == 2
     assert message in capsys.readouterr().out.splitlines()
     assert main(["env", "--config", path]) == 2
+    assert not (tmp_path / "run1").exists()
+
+
+_NOT_A_NUMBER = "disconnect: eps_ladder entries must be of JSON type number"
+
+
+@pytest.mark.parametrize("ladder, messages", [
+    ([[1]], [_NOT_A_NUMBER]),
+    (["x"], [_NOT_A_NUMBER]),
+    ([0.05, 0.05, True],
+     [_NOT_A_NUMBER, "disconnect: eps_ladder must not repeat a value"]),
+])
+def test_eps_ladder_entries_are_distinct_numbers(tmp_path, capsys, ladder, messages):
+    cfg = _base(tmp_path)
+    cfg["disconnect"] = {**_DISCONNECT, "eps_ladder": ladder}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().out.splitlines()[:-1] == messages
+    assert main(["disconnect", "--config", path]) == 2
     assert not (tmp_path / "run1").exists()
 
 

@@ -1,3 +1,5 @@
+import threading
+
 import numpy as np
 import pytest
 from scipy import ndimage
@@ -23,7 +25,7 @@ from gfflab.percolation import (
     level_set,
     threshold_event,
 )
-from gfflab.potential import DirichletOperator, green_killed
+from gfflab.potential import DirichletOperator, SolverError, green_killed
 from gfflab.streams import stream
 
 LAW = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -37,13 +39,62 @@ def env():
 def test_draw_blocks_split_replicas_like_successive_sample_calls(env):
     U = ball([0, 0, 0], 2)
     op = DirichletOperator(env, U)
-    blocks = list(_draw_blocks(op, stream(5, "blocks"), 7, 3))
+    rng = stream(5, "blocks")
+    tagged = list(_draw_blocks(op, [(rng, 7)], 3))
+    assert [i for i, _ in tagged] == [0, 0, 0]
+    blocks = [b for _, b in tagged]
     assert [b.shape for b in blocks] == [(len(U), 3), (len(U), 3), (len(U), 1)]
     twin = stream(5, "blocks")
     for b, k in zip(blocks, (3, 3, 1)):
         assert np.array_equal(b, sample_matrix(env, U, k, twin, op=op))
-    assert list(_draw_blocks(op, stream(5, "blocks"), 0, 3)) == []
-    assert [b.shape[1] for b in _draw_blocks(op, stream(5, "blocks"), 4, 8)] == [4]
+    assert rng.bit_generator.state == twin.bit_generator.state
+    assert list(_draw_blocks(op, [(stream(5, "blocks"), 0)], 3)) == []
+    assert [b.shape[1] for _, b in
+            _draw_blocks(op, [(stream(5, "blocks"), 4)], 8)] == [4]
+    # two streams: every block of the first, then every block of the
+    # second, each equal to the draw from its own serial twin
+    tagged = list(_draw_blocks(op, [(stream(5, "a"), 5), (stream(5, "b"), 4)], 3))
+    assert [(i, b.shape[1]) for i, b in tagged] == [(0, 3), (0, 2), (1, 3), (1, 1)]
+    twins = [stream(5, "a"), stream(5, "b")]
+    for i, b in tagged:
+        assert np.array_equal(b, sample_matrix(env, U, b.shape[1], twins[i], op=op))
+
+
+def test_draw_blocks_surfaces_a_worker_failure_and_joins_on_close(env, monkeypatch):
+    op = DirichletOperator(env, ball([0, 0, 0], 2))
+    factored_on = []
+    real_lu = DirichletOperator._get_lu
+
+    def recording(self):
+        if self._lu is None:
+            factored_on.append(threading.current_thread())
+        return real_lu(self)
+
+    monkeypatch.setattr(DirichletOperator, "_get_lu", recording)
+    baseline = threading.active_count()
+    blocks = _draw_blocks(op, [(stream(5, "blocks"), 9)], 3)
+    next(blocks)
+    blocks.close()
+    assert threading.active_count() == baseline
+    assert factored_on == [threading.current_thread()]
+
+    drawn_on = []
+    real = DirichletOperator.sample_gaussian
+
+    def failing(self, rng, count):
+        drawn_on.append(threading.current_thread())
+        if len(drawn_on) == 2:
+            raise SolverError("second draw fails")
+        return real(self, rng, count)
+
+    monkeypatch.setattr(DirichletOperator, "sample_gaussian", failing)
+    blocks = _draw_blocks(op, [(stream(5, "blocks"), 9)], 3)
+    next(blocks)
+    with pytest.raises(SolverError, match="second draw fails"):
+        next(blocks)
+    assert threading.active_count() == baseline
+    # the worker, never the caller, draws
+    assert len(drawn_on) == 2 and threading.current_thread() not in drawn_on
 
 
 def _field(domain, values):
@@ -133,7 +184,11 @@ def test_connectivity_kernels_match_bfs_oracle():
         # replica-parallel kernel on a full box
         mask = rng.standard_normal((4,) + shape) >= alpha
         seed = tuple(rng.integers(0, n, 3) for n in shape)
-        cl = _seed_clusters(mask.copy(), seed)
+        every = tuple(np.indices(shape).reshape(3, -1))
+        cl = _seed_clusters(mask, seed, every).reshape(mask.shape)
+        some = tuple(a[::3] for a in every)
+        assert np.array_equal(_seed_clusters(mask, seed, some),
+                              cl.reshape(4, -1)[:, ::3])
         seeds = set(zip(*(s.tolist() for s in seed)))
         for j in range(mask.shape[0]):
             want = np.zeros(shape, dtype=bool)
