@@ -203,6 +203,19 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 bad.append("disconnect: eps_ladder entries must be of JSON type number")
             if len(set(eps)) < len(eps):
                 bad.append("disconnect: eps_ladder must not repeat a value")
+        if name == "homogenize":
+            ladder = sec["N_list"]
+            if (not ladder or any(_type_error(N, "integer >= 1") for N in ladder)
+                    or any(a >= b for a, b in zip(ladder, ladder[1:]))):
+                bad.append("homogenize: N_list must be a non-empty, strictly "
+                           "increasing list of integers >= 1")
+        if name in ("homogenize", "disconnect") and "eta" in sec:
+            try:
+                eta_from_spec(sec["eta"])
+            except KeyError as exc:
+                bad.append(f"{name}.eta: missing key {exc}")
+            except (TypeError, ValueError) as exc:
+                bad.append(f"{name}.eta: {exc}")
         if name in ("homogenize", "disconnect"):
             try:
                 A = shape_from_spec(sec["A"])

@@ -22,15 +22,24 @@ harmonic off A and 1 on A, that sum is the energy h^T L_B h, with no
 matrix assembled on B.
 
 Solver policy: two mechanisms, the band Cholesky factor L_U = U^T U and
-Jacobi-preconditioned conjugate gradients, and one rule, `band_pays`,
-choosing per call from the size n, the bandwidth bw and the number of
-right-hand sides or draws. A call goes through the band factor when it
-already exists, or when factoring (~ n bw^2) is cheaper than that many
-PCG solves and the band fits BAND_BYTES; every other call runs PCG. So a
-block of hundreds of draws factors, and a single solve on a large domain
+conjugate gradients on the red-black reduced system, and one rule,
+`band_pays`, choosing per call from the size n, the bandwidth bw and the
+number of right-hand sides or draws. A call goes through the band factor
+when it already exists, or when factoring (~ n bw^2) is cheaper than that
+many CG solves and the band fits BAND_BYTES; every other call runs CG. So
+a block of hundreds of draws factors, and a single solve on a large domain
 does not. A band solve is two blocked sweeps over all its right-hand
 sides at once, forward through U^T and back through U, each a BLAS-3
 triangular multiply and solve per row block of the band's height.
+
+CG runs on the even sites alone. Nearest neighbours differ in the parity
+of their coordinate sum, so ordered even sites first L_U is
+[[D_e, -W], [-W^T, D_o]] with D_e and D_o diagonal (L_U is 2-cyclic).
+Eliminating the odd sites leaves the Schur complement
+S = D_e - W D_o^{-1} W^T, solved by CG with Jacobi preconditioner D_e;
+the odd values follow in one product. This takes about half the
+iterations of Jacobi PCG on L_U (Hageman & Young, Applied Iterative
+Methods, 1981, ch. 9), each of about the same cost.
 
 Gaussian sampling (Rue 2001): x = U^{-1} z for z standard normal has
 covariance L_U^{-1}. All draws of one call share a single
@@ -38,7 +47,7 @@ back-substitution over row blocks of the band's height, a BLAS-3
 triangular multiply and solve per block, so the band is read once per
 call, not once per draw. Without a factor the draw is x = L_U^{-1} F^T z,
 F the incidence factor with F^T F = L_U and z one standard normal per row
-of F, solved by PCG: again covariance L_U^{-1}, with no factor built.
+of F, solved by CG: again covariance L_U^{-1}, with no factor built.
 
 Walks: one loop, `_walk`, steps every walker, in lock step for a batch
 (`hitting_frequency`, `homogenization.estimate_diffusivity`) and alone,
@@ -65,14 +74,15 @@ from .streams import binomial_se
 
 BAND_BYTES = 1_600_000_000  # largest band factor ever allocated
 CG_TOL = 1e-10
-CG_COLUMNS = 64  # right-hand sides per PCG block, so work arrays stay n x 64
+CG_COLUMNS = 64  # right-hand sides per CG block, so work arrays stay n x 64
 # Cost model of `band_pays`. On a domain of extent s = n / bw along its
 # slowest axis (the side of a box, whose lexicographic bandwidth bw is a
-# cross-section), Jacobi PCG takes about 5 s iterations of one sparse
-# product each, so one solve costs ~ n^2 / bw, against n bw^2 for the band
-# factor. Timed on 2 vCPU (OpenBLAS), factoring costs as much as k PCG
-# draws with k = 3.3-5 on 25^3, 8.4 on 35^3 and 11.8 on 41^3 boxes, that is
-# bw^3 / (k n) = 3100-5900; the rule factors when bw^3 <= 4000 count n.
+# cross-section), reduced CG takes about 2.5 s iterations of two sparse
+# products with W each, so one solve costs ~ n^2 / bw, against n bw^2 for
+# the band factor. Timed on 2 vCPU (OpenBLAS), factoring costs as much as k
+# CG draws with k = 13-14 on 25^3, 27-29 on 35^3 and 36 on 41^3 boxes, that
+# is bw^3 / (k n) = 1100-1900; the rule factors when bw^3 <= 4000 count n,
+# which was fitted to Jacobi PCG on L_U at twice the iterations.
 PCG_PER_FACTOR = 4000
 MAX_WALK_STEPS = 10_000_000
 
@@ -110,11 +120,11 @@ def killed_laplacian(env: Conductances, U: SiteSet) -> sp.csr_matrix:
 
 def band_pays(n: int, bw: int, count: int, factored: bool) -> bool:
     """Whether `count` solves or draws on an n-site operator of bandwidth
-    bw go through its band Cholesky factor rather than Jacobi PCG.
+    bw go through its band Cholesky factor rather than CG.
 
     Always once the factor exists; never when the band exceeds
     BAND_BYTES; otherwise when factoring (~ n bw^2) costs less than
-    `count` PCG solves (~ n^2 / bw each, in units PCG_PER_FACTOR times
+    `count` CG solves (~ n^2 / bw each, in units PCG_PER_FACTOR times
     dearer). Break-even is 4 draws on a 25^3 box and 20 on 43^3.
     """
     if factored:
@@ -138,6 +148,7 @@ class DirichletOperator:
         self.bandwidth = int(np.abs(off.row - off.col).max()) if off.nnz else 0
         self._lu = None
         self._incidence = None
+        self._split = None
 
     @property
     def backend(self) -> str:
@@ -182,36 +193,55 @@ class DirichletOperator:
         _band_back_substitute(R, y)
         return x
 
+    def _get_split(self):
+        # the red-black split of L_U (module docstring): indices of the
+        # even and odd sites, their diagonals D_e, D_o as columns, and
+        # W = -L_U[even, odd] in CSR
+        if self._split is None:
+            even = self.sites.coords.sum(axis=1) % 2 == 0
+            e, o = np.nonzero(even)[0], np.nonzero(~even)[0]
+            diag = self.matrix.diagonal()[:, None]
+            self._split = (e, o, diag[e], diag[o], -self.matrix[e][:, o])
+        return self._split
+
     def _pcg(self, rhs: np.ndarray) -> np.ndarray:
-        """Jacobi-preconditioned conjugate gradients, CG_COLUMNS
-        right-hand sides at a time, each to residual CG_TOL |b|."""
+        """Conjugate gradients on the Schur complement of the even sites,
+        S x_e = b_e + W D_o^{-1} b_o with S = D_e - W D_o^{-1} W^T and
+        Jacobi preconditioner D_e, then x_o = D_o^{-1} (b_o + W^T x_e).
+        The odd equations then hold exactly, so the residual of L_U x = b
+        is the reduced one; each of CG_COLUMNS right-hand sides at a time
+        stops at CG_TOL |b|, b its full column."""
+        e, o, De, Do, W = self._get_split()
         block = rhs[:, None] if rhs.ndim == 1 else rhs
         out = np.empty_like(block)
-        inv_diag = (1.0 / self.matrix.diagonal())[:, None]
 
         def dot(a, b):
             return np.einsum("ij,ij->j", a, b)
 
         for s in range(0, block.shape[1], CG_COLUMNS):
-            r = block[:, s:s + CG_COLUMNS].copy()
+            cols = slice(s, s + CG_COLUMNS)
+            b = block[:, cols]
+            stop = CG_TOL * np.linalg.norm(b, axis=0)
+            bo = b[o] / Do
+            r = b[e] + W @ bo
             x = np.zeros_like(r)
-            stop = CG_TOL * np.linalg.norm(r, axis=0)
-            z = inv_diag * r
+            z = r / De
             p, rz = z, dot(r, z)
             for _ in range(20 * self.n):
                 live = np.linalg.norm(r, axis=0) > stop
                 if not live.any():
                     break
-                Ap = self.matrix @ p
-                alpha = np.divide(rz, dot(p, Ap), out=np.zeros_like(rz), where=live)
+                Sp = De * p - W @ ((W.T @ p) / Do)
+                alpha = np.divide(rz, dot(p, Sp), out=np.zeros_like(rz), where=live)
                 x += alpha * p
-                r -= alpha * Ap
-                z = inv_diag * r
+                r -= alpha * Sp
+                z = r / De
                 rz, rz_old = dot(r, z), rz
                 p = z + np.divide(rz, rz_old, out=np.zeros_like(rz), where=live) * p
             else:
                 raise SolverError("conjugate gradients failed to converge")
-            out[:, s:s + CG_COLUMNS] = x
+            out[e, cols] = x
+            out[o, cols] = bo + (W.T @ x) / Do
         return out[:, 0] if rhs.ndim == 1 else out
 
     # -- Gaussian sampling with covariance L_U^{-1} ----------------------------

@@ -14,7 +14,8 @@ The same parse checks that `environment.py` is the only module of the
 package that reads an attribute named `weights`, so the stored layout of
 the conductances stays behind `Conductances`' lookups, and that
 `percolation.py`, home of the draw pipeline, is the only one that imports
-`threading` or `concurrent.futures`.
+`threading` or `concurrent.futures`, and that `CG_TOL` is read only by
+`DirichletOperator._pcg`, so the package has one conjugate-gradient loop.
 """
 
 from __future__ import annotations
@@ -136,3 +137,33 @@ def _thread_importers() -> set[str]:
 def test_only_the_draw_pipeline_imports_threads():
     # one concurrency site; a thread count is not a knob of any other layer
     assert _thread_importers() == {"percolation"}
+
+
+def _readers(name: str) -> set[str]:
+    """Qualified names of the functions of the package that read `name`,
+    as a bare name or an attribute; a module-level read or an import of
+    it counts as the module's own."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = _parse(path)
+        parents = {child: node for node in ast.walk(tree)
+                   for child in ast.iter_child_nodes(node)}
+        for node in ast.walk(tree):
+            if not ((isinstance(node, ast.Name) and node.id == name
+                     and isinstance(node.ctx, ast.Load))
+                    or (isinstance(node, ast.Attribute) and node.attr == name)
+                    or (isinstance(node, ast.ImportFrom)
+                        and any(a.name == name for a in node.names))):
+                continue
+            scope = []
+            while node in parents:
+                node = parents[node]
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    scope.append(node.name)
+            out.add(".".join([path.stem, *reversed(scope)]))
+    return out
+
+
+def test_one_conjugate_gradient_loop():
+    # a second solver loop would need the tolerance that ends the first
+    assert _readers("CG_TOL") == {"potential.DirichletOperator._pcg"}

@@ -351,6 +351,33 @@ def test_eps_ladder_entries_are_distinct_numbers(tmp_path, capsys, ladder, messa
     assert not (tmp_path / "run1").exists()
 
 
+_BAD_LADDER = ("homogenize: N_list must be a non-empty, strictly increasing "
+               "list of integers >= 1")
+_ETA = {"Delta": 0.05}
+
+
+@pytest.mark.parametrize("command, section, message", [
+    ("homogenize", {**_HOMOGENIZE, "N_list": []}, _BAD_LADDER),
+    ("homogenize", {**_HOMOGENIZE, "N_list": [12, 8]}, _BAD_LADDER),
+    ("homogenize", {**_HOMOGENIZE, "N_list": [0, 8]}, _BAD_LADDER),
+    ("homogenize", {**_HOMOGENIZE, "eta": {"kind": "cone", "radius": 1.0}},
+     "homogenize.eta: unknown test function kind 'cone'"),
+    ("disconnect", {**_DISCONNECT, **_ETA, "eta": {"kind": "radial_bump"}},
+     "disconnect.eta: missing key 'radius'"),
+    ("disconnect", {**_DISCONNECT, **_ETA, "eta": {"kind": "cone", "radius": 1.0}},
+     "disconnect.eta: unknown test function kind 'cone'"),
+])
+def test_ladder_and_eta_are_checked_before_any_output(tmp_path, capsys, command,
+                                                      section, message):
+    cfg = _base(tmp_path)
+    cfg[command] = section
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 2
+    assert capsys.readouterr().out.splitlines()[:-1] == [message]
+    assert main([command, "--config", path]) == 2
+    assert not (tmp_path / "run1").exists()
+
+
 def test_negative_padding_exits_2_before_any_output(tmp_path, capsys):
     for sub in (None, "connectivity"):
         cfg = _base(tmp_path)

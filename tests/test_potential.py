@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
 from gfflab.environment import EnvironmentLaw, sample_environment
-from gfflab.lattice import SiteSet, ball, boundary, box_sites, neighbor_steps
+from gfflab.lattice import (SiteSet, ball, blow_up, boundary, box_sites,
+                            euclidean_ball, neighbor_steps)
 from gfflab.potential import (
     BAND_BYTES,
+    CG_COLUMNS,
     CG_TOL,
     DirichletOperator,
     STOPS,
@@ -514,6 +518,48 @@ def test_factor_free_draw_needs_no_factor(env, monkeypatch):
     assert np.all(residual <= CG_TOL * np.linalg.norm(rhs, axis=0))
 
 
+def _split_operator(env, name):
+    A, B = euclidean_ball([0, 0, 0], 0.5), euclidean_ball([0, 0, 0], 2.0)
+    if name == "thin_rows":
+        return DirichletOperator(*_thin_rows(10_000))
+    return DirichletOperator(env, {
+        "ball": ball([0, 0, 0], 3),
+        "ladder_annulus": blow_up(B, 3).difference(blow_up(A, 3)),
+        "one_odd_site": SiteSet([[1, 0, 0]]),
+        "two_apart": SiteSet([[0, 0, 0], [2, 0, 0]]),
+    }[name])
+
+
+@pytest.mark.parametrize("name", ["ball", "ladder_annulus", "thin_rows",
+                                  "one_odd_site", "two_apart"])
+def test_reduced_cg_on_the_red_black_split(env, name):
+    op = _split_operator(env, name)
+    e, o, De, Do, W = op._get_split()
+    parity = op.sites.coords.sum(axis=1) % 2
+    assert np.array_equal(np.sort(np.concatenate([e, o])), np.arange(op.n))
+    assert np.all(parity[e] == 0) and np.all(parity[o] == 1)
+    L = op.matrix
+    for part, D in ((e, De), (o, Do)):
+        block = L[part][:, part]
+        assert (block - sp.diags(block.diagonal())).count_nonzero() == 0
+        assert np.array_equal(D[:, 0], L.diagonal()[part])
+    assert (W + L[e][:, o]).count_nonzero() == 0
+    rhs = stream(23, "red-black", name).standard_normal((op.n, 70))
+    zero = [3, CG_COLUMNS + 1]  # a zero column in each block of CG_COLUMNS
+    rhs[:, zero] = 0.0
+    # a direct solve: dense, but sparse LU for the 20k-site rows
+    direct = (spla.splu(L.tocsc()).solve if op.n > 4000
+              else lambda b: np.linalg.solve(L.toarray(), b))
+    for b in (rhs[:, 0], rhs):
+        x = op._pcg(b)
+        assert x.shape == b.shape
+        ref = direct(b)
+        assert np.abs(x - ref).max() <= 1e-8 * np.abs(ref).max()
+        residual = np.linalg.norm((L @ x - b).reshape(op.n, -1), axis=0)
+        assert np.all(residual <= CG_TOL * np.linalg.norm(b.reshape(op.n, -1), axis=0))
+    assert not x[:, zero].any()
+
+
 def test_band_rule_outcomes():
     # (n, bw) of l-infinity boxes of side s: n = s^3, lexicographic bw = s^2
     assert not band_pays(43 ** 3, 43 ** 2, 1, False)  # one classify draw
@@ -525,15 +571,23 @@ def test_band_rule_outcomes():
     for count in (1, 500, 10 ** 9):
         assert not band_pays(200_000, 1000, count, False)
     assert band_pays(43 ** 3, 43 ** 2, 1, True)  # the factor already exists
+    # the homogenize workload's ladder, N = 8, 12, 24: one solve each, all CG
+    for n, bw in ((16_820, 764), (56_852, 1_716), (455_628, 6_818)):
+        assert not band_pays(n, bw, 1, False)
+
+
+def _thin_rows(M):
+    """Two rows of M sites, (0, 0, z) and (1, 0, z), M apart in site order,
+    and an environment around them."""
+    U = SiteSet(np.concatenate([np.stack([np.full(M, a), np.zeros(M, int),
+                                          np.arange(M)], axis=1) for a in (0, 1)]))
+    return sample_environment(LAW, box_sites([-1, -1, -1], [2, 1, M]), seed=7,
+                              lam=0.5), U
 
 
 def test_band_over_the_byte_budget_is_never_allocated():
-    # two rows of M sites: (0, 0, z) and (1, 0, z) are M apart in site order
     M = 10_000
-    U = SiteSet(np.concatenate([np.stack([np.full(M, a), np.zeros(M, int),
-                                          np.arange(M)], axis=1) for a in (0, 1)]))
-    thin = sample_environment(LAW, box_sites([-1, -1, -1], [2, 1, M]), seed=7, lam=0.5)
-    op = DirichletOperator(thin, U)
+    op = DirichletOperator(*_thin_rows(M))
     assert op.bandwidth == M and op.n * (M + 1) * 8 > BAND_BYTES
     with pytest.raises(SolverError):
         op._get_lu()
