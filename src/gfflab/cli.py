@@ -283,7 +283,10 @@ class Runner:
         self.tol = dict(DEFAULT_TOLERANCES)
         self.tol.update(config.get("tolerances", {}))
         self.files: list[str] = []
+        # sha256 of the command's main environment, where it has one, and
+        # the keyed identity of every environment it sampled, by role
         self.env_hash: str | None = None
+        self.environments: dict[str, dict] = {}
 
     def _record(self, name: str) -> Path:
         self.files.append(name)
@@ -294,6 +297,7 @@ class Runner:
         window = box_sites(sec["window_lo"], sec["window_hi"])
         env = sample_environment(self.law, window, self.seed, self.lam)
         self.env_hash = env.content_hash()
+        self.environments["env"] = env.identity()
         env.save(self._record("environment.bin"))
         self.files.append("environment.bin.json")
 
@@ -303,6 +307,7 @@ class Runner:
         B = ball(sec["B_center"], sec["B_radius"], self.d)
         env = environment_for_sites(self.law, B, self.seed, self.lam)
         self.env_hash = env.content_hash()
+        self.environments["potential"] = env.identity()
         h = harmonic_potential(env, A, B)
         cap = capacity(env, A, B, h=h)
         write_csv(self._record("capacity.csv"),
@@ -317,6 +322,7 @@ class Runner:
         U = ball(sec.get("center", [0] * self.d), sec["radius"], self.d)
         env = environment_for_sites(self.law, U, self.seed, self.lam)
         self.env_hash = env.content_hash()
+        self.environments["gff"] = env.identity()
         samples = sample_gff(env, U, sec["count"], self.seed)
         mat = np.stack([s.values for s in samples], axis=1)
         path = self._record("fields.bin")
@@ -340,6 +346,7 @@ class Runner:
         window = ball([0] * self.d, 2 * Lmax + pad + 1, self.d)
         env = environment_for_sites(self.law, window, self.seed, self.lam)
         self.env_hash = env.content_hash()
+        self.environments["crossing"] = env.identity()
         sweep = crossing_probability(env, alpha_grid, L_grid, [0] * self.d,
                                      sec["replicas"], self.seed, padding=pad)
         rows = [[r.alpha, r.L, r.estimate, r.se, r.replicas, r.seed]
@@ -358,6 +365,7 @@ class Runner:
                         max(abs(int(v)) for z in csec["z_list"] for v in z)
                         + csec.get("padding", 4) + 1, self.d)
             cenv = environment_for_sites(self.law, cwin, self.seed, self.lam)
+            self.environments["connectivity"] = cenv.identity()
             rep = connectivity_function(cenv, csec["alpha"], [0] * self.d,
                                         csec["z_list"], csec["replicas"], self.seed,
                                         padding=csec.get("padding", 4))
@@ -372,6 +380,7 @@ class Runner:
             span = max(abs(int(v)) for c in centers for v in c) + K * L + 1
             dom = ball([0] * self.d, span, self.d)
             kenv = environment_for_sites(self.law, dom, self.seed, self.lam)
+            self.environments["classify"] = kenv.identity()
             grid = BoxCollection(L=L, K=K, centers=tuple(centers))
             phi = sample_gff(kenv, dom, 1, self.seed)[0]
             cls = classify_boxes(kenv, phi, grid, ksec["gamma"],
@@ -388,6 +397,7 @@ class Runner:
         B_env = ball([0] * self.d, sec["B_radius"], self.d)
         env = environment_for_sites(self.law, B_env, self.seed, self.lam)
         self.env_hash = env.content_hash()
+        self.environments["solidify"] = env.identity()
         rng = stream(self.seed, "solidify")
         rows = []
         for frac in sec["puncture_fractions"]:
@@ -423,6 +433,8 @@ class Runner:
                                  oracle=oracle)
         rows = [[r.N, r.scaled_capacity, r.solve_seconds, r.unknowns, r.backend]
                 for r in sweep.results]
+        for r in sweep.results:
+            self.environments[f"capacity_N{r.N}"] = r.environment
         write_csv(self._record("capacity_scaling.csv"),
                   ["N", "scaled_capacity", "solve_time", "unknowns", "backend"],
                   rows, self.chash)
@@ -447,6 +459,7 @@ class Runner:
                        for i in range(self.d) for j in range(self.d)],
                       self.chash)
             out["diffusivity_discarded"] = est.discarded
+            self.environments["diffusivity"] = est.environment
         with open(self._record("homogenize_summary.json"), "w") as fh:
             json.dump(out, fh, indent=2, sort_keys=True)
 
@@ -460,6 +473,7 @@ class Runner:
         tilt = (sec["alpha"], sec["alpha_star_ref"], sec["epsilon"],
                 sec.get("delta_shell", 0.0))
         self.env_hash = inst.env.content_hash()
+        self.environments["disconnect"] = inst.env.identity()
         report = disconnection_rate_experiment(
             inst, *tilt, sec["direct_replicas"], sec["tilted_replicas"],
             eps_ladder=sec.get("eps_ladder"))
@@ -483,6 +497,7 @@ class Runner:
             "command": command,
             "config_hash": self.chash,
             "environment_hash": self.env_hash,
+            "environments": self.environments,
             "outputs": self.files,
             "wall_clock_seconds": time.time() - t0,
             "versions": {"gfflab": __version__, "numpy": np.__version__,

@@ -73,15 +73,17 @@ class EnvironmentLaw:
                 f"law values [{lo}, {hi}] escape the ellipticity window [{lam}, 1]"
             )
 
-    def evaluate(self, origins: np.ndarray, axis: int, seed: int) -> np.ndarray:
-        """Weights of the edges {x, x+e_axis} for the given origin rows."""
+    def evaluate(self, columns, axis: int, seed: int) -> np.ndarray:
+        """Weights of the edges {x, x+e_axis} at the origins x whose
+        coordinate columns broadcast together (see `keyed_uniform`), in
+        their broadcast shape; a site list of shape (n, d) is `coords.T`."""
         if self.kind == "constant":
-            return np.full(origins.shape[0], self.params[0])
+            return np.full(np.broadcast(*columns).shape, self.params[0])
         if self.kind == "checkerboard":
             a, b = self.params
-            even = (origins.sum(axis=1) % 2) == 0
+            even = (sum(columns) % 2) == 0
             return np.where(even, a, b)
-        u = keyed_uniform(origins, axis, seed)
+        u = keyed_uniform(columns, axis, seed)
         if self.kind == "iid_uniform":
             low, high = self.params
             return low + (high - low) * u
@@ -177,11 +179,13 @@ class Conductances:
 
     def content_hash(self) -> str:
         h = hashlib.sha256()
-        h.update(json.dumps(self._header(), sort_keys=True).encode())
+        h.update(json.dumps(self.identity(), sort_keys=True).encode())
         h.update(self.weights.astype("<f8", copy=False))
         return h.hexdigest()
 
-    def _header(self) -> dict:
+    def identity(self) -> dict:
+        """The keys that determine every stored weight: law, seed, lambda,
+        offset and window (the header of a saved environment)."""
         return {
             "version": 1,
             "d": self.d,
@@ -195,7 +199,7 @@ class Conductances:
 
     def save(self, path) -> None:
         """Binary weights (little-endian f8, axis-major) plus JSON sidecar."""
-        header = json.dumps(self._header(), sort_keys=True)
+        header = json.dumps(self.identity(), sort_keys=True)
         with open(path, "wb") as fh:
             fh.write(_MAGIC)
             fh.write((header + "\n").encode("utf-8"))
@@ -240,16 +244,15 @@ def sample_environment(law: EnvironmentLaw, window, seed: int, lam: float,
     law.validate(lam)
     off = np.zeros(d, dtype=np.int64) if offset is None else as_coords(offset, d)[0]
     shape = tuple(hi - lo + 3)
-    # the padded window slab by slab along axis 0, each slab's origins in
-    # lexicographic order, so memory is one slab of coordinates
+    # the padded window slab by slab along axis 0, each slab an open grid:
+    # the scalar x0 and one broadcast column per further axis, so the hash
+    # of each coordinate prefix is shared and memory is one slab of weights
     axes = [np.arange(lo[a] - 1, hi[a] + 2) + off[a] for a in range(d)]
-    slab = np.stack(np.meshgrid(axes[0][:1], *axes[1:], indexing="ij"),
-                    axis=-1).reshape(-1, d)
+    grid = np.ix_(*axes[1:])
     weights = np.empty((d,) + shape)
     for i, x0 in enumerate(axes[0]):
-        slab[:, 0] = x0
         for a in range(d):
-            weights[a, i] = law.evaluate(slab, a, seed).reshape(shape[1:])
+            weights[a, i] = law.evaluate((x0, *grid), a, seed)
     return Conductances(lo, hi, lam, weights, law, seed=seed, offset=off, d=d)
 
 

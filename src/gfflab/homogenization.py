@@ -113,6 +113,7 @@ class ScaleResult:
     solve_seconds: float
     unknowns: int
     backend: str
+    environment: dict  # Conductances.identity() of the scale's environment
     pairing: float | None = None
 
 
@@ -174,7 +175,7 @@ def capacity_scaling(law: EnvironmentLaw, lam: float, A, B, N_list, seed: int,
         pairing = (None if eta is None
                    else float(np.sum(h * eta(B_N.coords / float(N)))) / N ** d)
         return ScaleResult(N, N ** (2 - d) * cap, dt, len(U),
-                           op.backend if op else "none", pairing)
+                           op.backend if op else "none", env.identity(), pairing)
 
     results = [one_scale(N) for N in N_list]
     vals = [r.scaled_capacity for r in results]
@@ -244,6 +245,7 @@ class DiffusivityEstimate:
     t_horizon: float
     replicas: int
     discarded: int
+    environment: dict  # Conductances.identity() of the walk window
 
 
 def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
@@ -278,7 +280,8 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
     prod = np.einsum("ki,kj->kij", X, X) / t_horizon
     mat = prod.mean(axis=0)
     se = prod.std(axis=0, ddof=1) / math.sqrt(kept.sum())
-    return DiffusivityEstimate(mat, se, mode, t_horizon, replicas, n_disc)
+    return DiffusivityEstimate(mat, se, mode, t_horizon, replicas, n_disc,
+                               env.identity())
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 MIN_DIMENSION = 3
 
@@ -45,7 +44,14 @@ class SiteSet:
 
     index_map is implicit: the i-th row of `coords` has dense index i.
     Membership and neighbor lookups go through packed integer keys, so
-    they vectorize over large arrays.
+    they vectorize over large arrays. Key order is lexicographic order,
+    so input that is already ordered and free of duplicates (boxes,
+    subsets of ordered sets) is kept as given, with no sort; the set
+    always holds its own copy of the coordinates.
+
+    The packing window is the bounding box padded by one site, so the
+    neighbors of members have keys too: `shifted` finds every x + s from
+    the keys of x alone, one `searchsorted` per step s.
     """
 
     __slots__ = ("coords", "d", "_lo", "_span", "_keys")
@@ -61,8 +67,12 @@ class SiteSet:
                 raise ValueError("site set bounding box too large to index")
             # packed-key order is lexicographic order, so sorting the keys
             # sorts the rows
-            self._keys, first = np.unique(self._pack(coords), return_index=True)
-            coords = coords[first]
+            keys = self._pack(coords)
+            if np.all(keys[1:] > keys[:-1]):
+                self._keys, coords = keys, coords.copy()
+            else:
+                self._keys, first = np.unique(keys, return_index=True)
+                coords = coords[first]
         else:
             self._lo = np.zeros(self.d, dtype=np.int64)
             self._span = np.ones(self.d, dtype=np.int64)
@@ -116,6 +126,20 @@ class SiteSet:
 
     def contains_mask(self, pts) -> np.ndarray:
         return self.locate(pts) >= 0
+
+    def shifted(self, step) -> np.ndarray:
+        """Dense indices of x + step for every member x, -1 where absent:
+        `locate(coords + step)`, for a step in {-1, 0, 1}^d. Within the
+        padded window x + step packs to key(x) + key stride of the step."""
+        step = as_coords(step, self.d)[0]
+        if np.abs(step).max() > 1:
+            raise ValueError("shifted takes steps in {-1, 0, 1}^d")
+        if len(self) == 0:
+            return np.empty(0, dtype=np.int64)
+        strides = np.cumprod(np.append(1, self._span[:0:-1]))[::-1]
+        keys = self._keys + int(step @ strides)
+        pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
+        return np.where(self._keys[pos] == keys, pos, -1)
 
     def index_of(self, site) -> int:
         idx = int(self.locate(as_coords(site, self.d))[0])
@@ -229,15 +253,12 @@ def boundary(K: SiteSet, kind: str = "external") -> SiteSet:
     if K.is_empty:
         return empty_set(K.d)
     steps = neighbor_steps(K.d)
+    outside = np.stack([K.shifted(s) < 0 for s in steps], axis=1)
     if kind == "external":
-        cand = (K.coords[:, None, :] + steps[None, :, :]).reshape(-1, K.d)
-        outside = ~K.contains_mask(cand)
+        cand = K.coords[:, None, :] + steps[None, :, :]
         return SiteSet(cand[outside], K.d)
     if kind == "internal":
-        has_outside = np.zeros(len(K), dtype=bool)
-        for s in steps:
-            has_outside |= ~K.contains_mask(K.coords + s)
-        return SiteSet(K.coords[has_outside], K.d)
+        return SiteSet(K.coords[outside.any(axis=1)], K.d)
     raise ValueError(f"unknown boundary kind {kind!r}")
 
 
@@ -245,6 +266,8 @@ def linf_distance(K: SiteSet, L: SiteSet) -> int:
     """min over pairs of |x - y|_inf; error on empty input."""
     if K.is_empty or L.is_empty:
         raise ValueError("linf_distance requires non-empty sets")
+    from scipy.spatial import cKDTree  # on use: no command needs it, and it is slow to import
+
     small, big = (K, L) if len(K) <= len(L) else (L, K)
     tree = cKDTree(big.coords)
     dist, _ = tree.query(small.coords, k=1, p=np.inf)

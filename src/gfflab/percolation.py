@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from .lattice import SiteSet, as_coords, ball, linf_sphere, neighbor_steps
 from .environment import Conductances
@@ -467,7 +467,7 @@ def decoupling_check(env: Conductances, domain: SiteSet, K1: SiteSet,
         G[:, j] = col[domain.locate(K1.coords)]
     if len(K1) == 1:
         sup_scale = float(np.abs(H).max()) * math.sqrt(max(G[0, 0], 0.0))
-        p_bad = 2.0 * norm.sf(delta / 2.0 / sup_scale) if sup_scale > 0 else 0.0
+        p_bad = 2.0 * ndtr(-(delta / 2.0 / sup_scale)) if sup_scale > 0 else 0.0
         method = "exact-single-site"
     else:
         grs = stream(seed, "decoupling-gauss")

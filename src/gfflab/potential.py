@@ -12,7 +12,12 @@ Edges are enumerated in two places, both in the step order of
 `lattice.neighbor_steps`: `Conductances.neighbor_weights` reads the 2d
 edge weights at each site in one gather (for site weights, boundary data
 and walk steps), and `_inner_edges` lists the edges inside a domain from
-them (for L_U and its incidence factor). Dirichlet energies are
+them (for L_U and its incidence factor). Which neighbor x + s of a site
+of U lies in U is read from `SiteSet.shifted(s)`, one search of U's own
+shifted keys per step, never by packing U.coords + s anew; that serves
+the inner edges, the edges leaving U (the killing rows of the incidence
+factor) and the boundary flux, which looks up data and gathers weights
+only at the sites with a neighbor outside U. Dirichlet energies are
 quadratic forms of L_U.
 
 Capacities are read from the flux on A: the equilibrium measure is
@@ -97,7 +102,7 @@ def _inner_edges(U: SiteSet, nw: np.ndarray) -> tuple[np.ndarray, ...]:
     from the neighbor weights nw of U."""
     parts = []
     for a, step in enumerate(neighbor_steps(U.d)[::2]):
-        j = U.locate(U.coords + step)
+        j = U.shifted(step)
         i = np.nonzero(j >= 0)[0]
         parts.append((i, j[i], nw[i, 2 * a]))
     return tuple(np.concatenate(p) for p in zip(*parts))
@@ -253,8 +258,8 @@ class DirichletOperator:
             U = self.sites
             nw = self.env.neighbor_weights(U.coords)
             i, j, w = _inner_edges(U, nw)
-            leaving = np.stack([U.locate(U.coords + s) < 0
-                                for s in neighbor_steps(U.d)], axis=1)
+            leaving = np.stack([U.shifted(s) < 0 for s in neighbor_steps(U.d)],
+                               axis=1)
             kill = (nw * leaving).sum(axis=1)
             k_idx = np.nonzero(kill)[0]
             m, r = len(w), np.arange(len(w))
@@ -403,18 +408,19 @@ def green_killed(env: Conductances, U: SiteSet, mode: str = "full_matrix",
 def boundary_flux_rhs(env: Conductances, U: SiteSet, data_sites: SiteSet,
                       data_values: np.ndarray) -> np.ndarray:
     """Right-hand side for the Dirichlet problem on U with the given
-    boundary data (zero on unlisted exterior sites)."""
+    boundary data (zero on unlisted exterior sites). Only the sites x of
+    U with x + s outside U are looked up in the data, step by step."""
     values = np.asarray(data_values, dtype=np.float64)
     single = values.ndim == 1
     block = values[:, None] if single else values
     rhs = np.zeros((len(U), block.shape[1]))
-    w = env.neighbor_weights(U.coords)
     for k, step in enumerate(neighbor_steps(U.d)):
-        nb = U.coords + step
-        j = data_sites.locate(nb)
-        mask = (j >= 0) & (U.locate(nb) < 0)
-        if np.any(mask):
-            rhs[mask] += w[mask, k, None] * block[j[mask]]
+        ext = np.nonzero(U.shifted(step) < 0)[0]
+        j = data_sites.locate(U.coords[ext] + step)
+        i = ext[j >= 0]
+        if i.size:
+            w = env.neighbor_weights(U.coords[i])[:, k, None]
+            rhs[i] += w * block[j[j >= 0]]
     return rhs[:, 0] if single else rhs
 
 

@@ -5,7 +5,9 @@ Two kinds of randomness are used throughout the package:
 * values attached to fixed lattice coordinates (edge weights), produced by
   a counter-style integer hash of the coordinates, so that enlarging,
   shifting or regenerating a window never changes the value seen by a
-  given edge;
+  given edge. `keyed_uniform` takes the coordinates as columns that
+  broadcast together, so a product grid of sites hashes each shared
+  prefix of coordinates once;
 * ordinary ``numpy.random.Generator`` streams for Monte Carlo replicas,
   derived from a master seed plus a tuple of labels through
   ``SeedSequence`` spawn keys, so replicas are independent and the
@@ -27,8 +29,8 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 
 
 def mix64(x: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer, vectorized over uint64 arrays."""
-    x = x.astype(np.uint64, copy=True)
+    """splitmix64 finalizer of a uint64 array or scalar, as a new array."""
+    x = np.array(x, dtype=np.uint64)
     with np.errstate(over="ignore"):
         x ^= x >> np.uint64(30)
         x *= _MIX1
@@ -38,21 +40,22 @@ def mix64(x: np.ndarray) -> np.ndarray:
     return x
 
 
-def keyed_uniform(coords: np.ndarray, channel: int, seed: int) -> np.ndarray:
-    """Uniform[0,1) values keyed by integer coordinate rows.
+def keyed_uniform(columns, channel: int, seed: int) -> np.ndarray:
+    """Uniform[0,1) values keyed by integer coordinates.
 
-    coords: (n, k) integer array; each row is hashed together with
-    `channel` (e.g. an edge axis) and `seed`. The result depends only on
-    the row values, never on the array layout or call order.
+    columns: k integer arrays (or scalars) that broadcast together, the
+    j-th holding coordinate j; a site list of shape (n, k) is passed as
+    its k columns, `coords.T`. Each site is hashed together with
+    `channel` (e.g. an edge axis) and `seed`, coordinate by coordinate,
+    so the value depends only on the coordinates, never on the layout or
+    call order. The hash state after coordinates 0..j has the broadcast
+    shape of the first j + 1 columns: on an open grid (`np.ix_`) each
+    prefix of a site is mixed once, not once per site.
     """
-    coords = np.asarray(coords, dtype=np.int64)
-    if coords.ndim == 1:
-        coords = coords[None, :]
     with np.errstate(over="ignore"):
-        h = np.full(coords.shape[0], np.uint64(seed) ^ _GAMMA, dtype=np.uint64)
-        h = mix64(h + np.uint64(channel) * _GAMMA)
-        for j in range(coords.shape[1]):
-            h = mix64(h ^ (coords[:, j].view(np.uint64) + _GAMMA))
+        h = mix64((np.uint64(seed) ^ _GAMMA) + np.uint64(channel) * _GAMMA)
+        for col in columns:
+            h = mix64(h ^ (np.asarray(col, dtype=np.int64).view(np.uint64) + _GAMMA))
     return (h >> np.uint64(11)).astype(np.float64) * (2.0 ** -53)
 
 

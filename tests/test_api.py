@@ -14,13 +14,22 @@ The same parse checks that `environment.py` is the only module of the
 package that reads an attribute named `weights`, so the stored layout of
 the conductances stays behind `Conductances`' lookups, and that
 `percolation.py`, home of the draw pipeline, is the only one that imports
-`threading` or `concurrent.futures`, and that `CG_TOL` is read only by
-`DirichletOperator._pcg`, so the package has one conjugate-gradient loop.
+`threading` or `concurrent.futures`, that `CG_TOL` is read only by
+`DirichletOperator._pcg`, so the package has one conjugate-gradient loop,
+and that no module looks up the neighbors of a site set in itself by
+`X.locate(X.coords + s)` or `X.contains_mask(X.coords + s)`: those go
+through `SiteSet.shifted`, which needs no packing of coordinates.
+
+A subprocess checks that importing the command line leaves `scipy.stats`
+and `scipy.spatial` unimported, since every run pays for its imports.
 """
 
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -167,3 +176,55 @@ def _readers(name: str) -> set[str]:
 def test_one_conjugate_gradient_loop():
     # a second solver loop would need the tolerance that ends the first
     assert _readers("CG_TOL") == {"potential.DirichletOperator._pcg"}
+
+
+def _coords_of(expr: ast.expr) -> ast.expr | None:
+    """The set expression X of `X.coords`, also under a subscript."""
+    while isinstance(expr, ast.Subscript):
+        expr = expr.value
+    if isinstance(expr, ast.Attribute) and expr.attr == "coords":
+        return expr.value
+    return None
+
+
+def _self_neighbor_queries(tree: ast.Module) -> list[int]:
+    """Lines of the calls `X.locate(X.coords +- ...)` and
+    `X.contains_mask(X.coords +- ...)`, X the same expression twice."""
+    out = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and node.args
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("locate", "contains_mask")):
+            continue
+        arg = node.args[0]
+        if not (isinstance(arg, ast.BinOp) and isinstance(arg.op, (ast.Add, ast.Sub))):
+            continue
+        receiver = ast.dump(node.func.value)
+        if any(base is not None and ast.dump(base) == receiver
+               for base in (_coords_of(arg.left), _coords_of(arg.right))):
+            out.append(node.lineno)
+    return out
+
+
+def test_self_neighbor_queries_go_through_shifted():
+    found = {path.stem: lines for path in PACKAGE.glob("*.py")
+             if (lines := _self_neighbor_queries(_parse(path)))}
+    assert found == {}
+
+
+def test_the_neighbor_query_scan_sees_both_forms():
+    tree = ast.parse("U.locate(U.coords + s)\n"
+                     "K.contains_mask(K.coords[:, None, :] - steps)\n"
+                     "A.locate(B.coords + s)\n"
+                     "U.locate(U.coords[ext] + s)\n")
+    assert _self_neighbor_queries(tree) == [1, 2, 4]
+
+
+def test_the_command_line_does_not_import_scipy_stats_or_spatial():
+    code = ("import sys, gfflab.cli; "
+            "print(sorted(m for m in ('scipy.stats', 'scipy.spatial') "
+            "if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
+    assert out.stdout.strip() == "[]"

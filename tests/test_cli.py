@@ -447,3 +447,48 @@ def test_a_bool_and_a_non_object_section_have_the_wrong_type(tmp_path):
     cfg["scales"] = {"I": "3", "J": 1, "ell_star": 100}
     issues = validate(cfg)
     assert len(issues) == 1 and issues[0].startswith("scales: ")
+
+
+_IDENTITY_KEYS = ["d", "lambda", "law", "offset", "seed", "version",
+                  "window_hi", "window_lo"]
+
+
+@pytest.mark.parametrize("command, section, roles", [
+    ("homogenize", {**_HOMOGENIZE, "N_list": [2, 3], "diffusivity": _DIFFUSIVITY},
+     ["capacity_N2", "capacity_N3", "diffusivity"]),
+    ("percolation", {**_PERCOLATION, "padding": 2,
+                     "connectivity": {"alpha": 0.2, "z_list": [[1, 0, 0]],
+                                      "replicas": 4, "padding": 2},
+                     "classify": {"L": 2, "K": 5, "centers": [[0, 0, 0]],
+                                  "gamma": 0.5, "delta": 0.0, "a": 1.0}},
+     ["crossing", "connectivity", "classify"]),
+])
+def test_manifest_names_every_sampled_environment(tmp_path, command, section,
+                                                  roles):
+    from gfflab.environment import environment_for_sites, sample_environment
+    from gfflab.lattice import blow_up, shape_from_spec
+
+    cfg = _base(tmp_path)
+    cfg["law"] = {"kind": "iid_uniform", "low": 0.5, "high": 1.0}
+    cfg[command] = section
+    assert main([command, "--config", _write(tmp_path, cfg)]) == 0
+    manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
+    envs = manifest["environments"]
+    assert sorted(envs) == sorted(roles)
+    for ident in envs.values():
+        assert sorted(ident) == _IDENTITY_KEYS
+        assert ident["seed"] == 42 and ident["lambda"] == 0.5
+        assert ident["law"] == {"kind": "iid_uniform", "params": [0.5, 1.0]}
+    windows = {json.dumps([e["window_lo"], e["window_hi"]]) for e in envs.values()}
+    assert len(windows) == len(roles)
+    law = EnvironmentLaw.iid_uniform(0.5, 1.0)
+    if command == "homogenize":
+        assert manifest["environment_hash"] is None
+        B_3 = blow_up(shape_from_spec(section["B"]), 3)
+        assert envs["capacity_N3"] == environment_for_sites(law, B_3, 42, 0.5).identity()
+    else:
+        # the identity regenerates the environment the hash was taken of
+        crossing = envs["crossing"]
+        env = sample_environment(law, (crossing["window_lo"], crossing["window_hi"]),
+                                 42, 0.5)
+        assert env.content_hash() == manifest["environment_hash"]

@@ -81,7 +81,7 @@ def test_slabwise_sampling_matches_site_set_construction(law):
     # reference: the padded window as one lexicographic SiteSet
     lo, hi, off = np.array([-3, -2, 0]), np.array([2, 4, 3]), np.array([5, -1, 2])
     grid = box_sites(lo - 1, hi + 1)
-    weights = [law.evaluate(grid.coords + off, a, 11).reshape(tuple(hi - lo + 3))
+    weights = [law.evaluate((grid.coords + off).T, a, 11).reshape(tuple(hi - lo + 3))
                for a in range(3)]
     ref = Conductances(lo, hi, 0.5, weights, law, seed=11, offset=off)
     env = sample_environment(law, (lo, hi), 11, 0.5, offset=off)
@@ -163,6 +163,25 @@ def test_stored_bytes_and_hash_are_pinned(tmp_path):
         "af2d07730608eed065b281571f2d52fc43b38b062179fc0caa33570ec5b3feda")
     back = Conductances.load(tmp_path / "environment.bin")
     assert np.array_equal(back.weights, env.weights)
+
+
+# recorded from the row-by-row hash, before the open-grid form
+PINNED = [
+    "91c0eca0853189aa09ef8042b25f45b4623369f56bd4e6dcecebbca66db70396",
+    "7ba4ba3617054a078336973112c3f2e9832ac7c069b1d82ace169d0d67bd8222",
+    "b6832413eb073ef5fbee74b483ad462d0ff3b9e6918282c46583eefe86f3ff2b",
+    "0efb7245e9749a2f9b68f1046b23c2cc4329e15149a1e4b2da884d6f51ab5c9b",
+    "fb42ffc1807bd0f911ab9d02342930c14bee820b6b3366fac68dcf22d2936a96",
+]
+
+
+@pytest.mark.parametrize("law, digest", [
+    pytest.param(law, digest, id=f"law{i}")
+    for i, (law, digest) in enumerate(zip(LAWS, PINNED))])
+def test_content_hash_is_pinned_for_every_law(law, digest):
+    env = sample_environment(law, ([-4, -2, 0], [3, 5, 2]), 12345, 0.5,
+                             offset=[7, -3, 2])
+    assert env.content_hash() == digest
 
 
 def test_out_of_window_access_raises():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gfflab.lattice import (
     SiteSet,
@@ -14,6 +14,7 @@ from gfflab.lattice import (
     linf_box,
     linf_distance,
     linf_sphere,
+    neighbor_steps,
     shape_from_spec,
     shape_intersection,
     shape_union,
@@ -103,6 +104,46 @@ def test_deterministic_lex_order():
     assert np.array_equal(s1.coords, s2.coords)
     assert np.array_equal(s1.coords, np.unique(pts, axis=0))
     assert np.all(np.diff(s1._keys) > 0)
+
+
+@pytest.mark.parametrize("order", ["sorted", "unsorted", "duplicated"])
+def test_ordered_input_is_kept_without_a_sort(order, monkeypatch):
+    rng = np.random.default_rng(3)
+    ref = np.unique(rng.integers(-5, 5, size=(60, 3)), axis=0)
+    pts = {"sorted": ref.copy(),
+           "unsorted": ref[rng.permutation(len(ref))],
+           "duplicated": np.vstack([ref, ref[::4]])}[order]
+    unique, sorts = np.unique, []
+    monkeypatch.setattr(np, "unique",
+                        lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    s = SiteSet(pts)
+    monkeypatch.undo()
+    assert len(sorts) == (order != "sorted")
+    assert np.array_equal(s.coords, ref)
+    assert np.array_equal(s._keys, np.unique(s._pack(pts)))
+    # the set keeps its own copy: writing to the input changes nothing
+    pts[:] = 0
+    assert np.array_equal(s.coords, ref)
+    assert np.array_equal(s.locate(ref), np.arange(len(ref)))
+
+
+@given(st.lists(st.tuples(*[st.integers(-4, 4)] * 3), max_size=40))
+@example([])
+@example([(2, -1, 0)])
+@settings(max_examples=40, deadline=None)
+def test_shifted_is_locate_of_the_shifted_coords(sites):
+    s = SiteSet(np.array(sites, dtype=np.int64).reshape(-1, 3), d=3)
+    for step in neighbor_steps(3):
+        got = s.shifted(step)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, s.locate(s.coords + step))
+
+
+def test_shifted_takes_unit_steps_only():
+    s = ball([0, 0, 0], 1)
+    assert np.array_equal(s.shifted([1, -1, 1]), s.locate(s.coords + [1, -1, 1]))
+    with pytest.raises(ValueError):
+        s.shifted([2, 0, 0])
 
 
 def test_serialization_round_trip(tmp_path):

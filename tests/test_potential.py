@@ -717,6 +717,21 @@ def test_boundary_flux_rhs_is_a_killed_laplacian_block(env):
         assert np.abs(rhs - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+def test_boundary_flux_rhs_with_the_whole_domain_as_data(env):
+    # the shape of gff.decompose_matrix: the data cover the domain V, and U
+    # is a sub-box of V, so every exterior neighbor of U carries a value
+    V = ball([0, 0, 0], 4)
+    U = box_sites([-2, -1, -3], [3, 2, 1])
+    L = killed_laplacian(env, V).toarray()
+    ext = V.difference(U)
+    v = stream(31, "flux-domain").standard_normal((len(V), 3))
+    expect = -L[np.ix_(V.locate(U.coords), V.locate(ext.coords))] @ v[V.locate(ext.coords)]
+    assert np.count_nonzero(np.abs(expect).sum(axis=1)) == len(boundary(U, "internal"))
+    rhs = boundary_flux_rhs(env, U, V, v)
+    assert rhs.shape == expect.shape
+    assert np.abs(rhs - expect).max() <= 1e-12 * np.abs(expect).max()
+
+
 def test_jump_rule_at_cumulative_weight_boundaries():
     # dyadic weights, so the cumulative sums c_m and omega = c_5 are exact
     w = np.array([0.5, 0.25, 1.0, 0.125, 0.75, 0.375])
