@@ -7,10 +7,12 @@ and lattice shifts can be evaluated without storing the infinite
 configuration.
 
 Storage layout: one C-contiguous float64 array `weights`, shape (d,) +
-window, with `weights[a][x - origin]` the weight of the edge {x, x + e_a}
+`shape`, with `weights[a][x - origin]` the weight of the edge {x, x + e_a}
 for every x in the padded window [lo-1, hi+1]^d (origin = lo - 1), so all
-edges incident to window sites are available. A lookup is one bounds
-check and one `take` at flat offsets fixed per environment.
+edges incident to window sites are available. The flat index of x is
+(x - origin) @ `strides`, and a step s adds s @ strides. A read is one
+`take` at flat indices plus offsets fixed per environment, checked from
+sites (`_gather`) or unchecked (`neighbor_weights_at`, for walkers).
 """
 
 from __future__ import annotations
@@ -115,16 +117,16 @@ class Conductances:
                        else as_coords(offset, self.d)[0])
         self.origin = self.lo - 1  # array index 0 corresponds to this site
         self.weights = np.ascontiguousarray(weights, dtype=np.float64)
-        self._shape = self.hi - self.lo + 3
-        if self.weights.shape != (self.d, *self._shape):
+        self.shape = self.hi - self.lo + 3
+        if self.weights.shape != (self.d, *self.shape):
             raise ValueError("weight array shape does not match window")
         if (self.weights.min() < self.lam - 1e-12
                 or self.weights.max() > 1.0 + 1e-12):
             raise ValueError("stored weights violate uniform ellipticity")
-        # flat index of x is (x - origin) @ _strides; the edge {x, x + s} of
-        # step s = +-e_a sits _steps[k] further, at its lower end x + min(s, 0)
-        self._strides = np.array(self.weights.strides[1:]) // 8
-        self._steps = (np.minimum(neighbor_steps(self.d), 0) @ self._strides
+        # the edge {x, x + s} of step s = +-e_a sits _steps[k] past the flat
+        # index of x, at its lower end x + min(s, 0)
+        self.strides = np.array(self.weights.strides[1:]) // 8
+        self._steps = (np.minimum(neighbor_steps(self.d), 0) @ self.strides
                        + np.repeat(np.arange(self.d), 2) * self.weights[0].size)
 
     # -- access ------------------------------------------------------------
@@ -134,14 +136,27 @@ class Conductances:
         lo, hi = sites.bounding_box()
         return bool(np.all(lo >= self.lo) and np.all(hi <= self.hi))
 
+    def flat_index(self, sites, low: int) -> np.ndarray:
+        """The flat index of each row x; -1 where x - origin leaves [low, shape)."""
+        idx = as_coords(sites, self.d) - self.origin
+        inside = ((idx >= low) & (idx < self.shape)).all(axis=1)
+        return np.where(inside, idx @ self.strides, -1)
+
+    def sites_at(self, flat) -> np.ndarray:
+        """The (k, d) sites at flat indices: `flat_index` inverted."""
+        return np.stack(np.unravel_index(flat, tuple(self.shape)), axis=1) + self.origin
+
     def _gather(self, sites, offsets, low: int) -> np.ndarray:
         """The stored weights at the flat index of each row x plus
         `offsets`, shape (k,) + offsets.shape; x - origin must lie in
-        [low, window shape) on every axis."""
-        idx = as_coords(sites, self.d) - self.origin
-        if (idx < low).any() or (idx >= self._shape).any():
+        [low, shape) on every axis."""
+        flat = self.flat_index(sites, low)
+        if (flat < 0).any():
             raise ValueError("site outside the stored environment window")
-        return self.weights.ravel().take(np.add.outer(idx @ self._strides, offsets))
+        return self._take(flat, offsets)
+
+    def _take(self, flat, offsets) -> np.ndarray:
+        return self.weights.ravel().take(np.add.outer(flat, offsets))
 
     def edge_weight(self, x, y) -> float:
         x = as_coords(x, self.d)[0]
@@ -157,6 +172,10 @@ class Conductances:
         column per step s of `neighbor_steps(d)`, in its order. The edge
         is stored at its lower end x + min(s, 0)."""
         return self._gather(sites, self._steps, 1)
+
+    def neighbor_weights_at(self, flat) -> np.ndarray:
+        """`neighbor_weights` at flat indices of sites in [lo, hi], unchecked."""
+        return self._take(flat, self._steps)
 
     def site_weights(self, sites) -> np.ndarray:
         """omega_x = sum of the 2d incident edge weights."""

@@ -254,10 +254,11 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
     """Empirical covariance of X_t / sqrt(t) over independent walk
     replicas, variable- or constant-speed clocks.
 
-    The window has half-width ceil(6 sqrt(2 d t)) + 2. Its guard is the
-    radius rule: replicas that move window_half - 1 from the origin are
-    discarded and counted; more than 1% discards is treated as a geometry
-    error.
+    The window has half-width ceil(6 sqrt(2 t)) + 2, six standard
+    deviations of each coordinate of X_t, whose variance is at most 2 t
+    (two edges of weight <= 1 per axis). Its guard is the radius rule:
+    replicas that move window_half - 1 from the origin are discarded and
+    counted; more than 1% discards is treated as a geometry error.
     """
     if mode not in ("vsrw", "csrw"):
         raise ValueError("mode must be 'vsrw' or 'csrw'")
@@ -265,18 +266,18 @@ def estimate_diffusivity(law: EnvironmentLaw, lam: float, t_horizon: float,
         raise ValueError("t_horizon must be > 0")
     if replicas < 2:  # the standard error divides by replicas - 1
         raise ValueError("replicas must be >= 2")
-    window_half = int(math.ceil(6.0 * math.sqrt(2.0 * d * t_horizon))) + 2
+    window_half = int(math.ceil(6.0 * math.sqrt(2.0 * t_horizon))) + 2
     env = sample_environment(law, ([-window_half] * d, [window_half] * d),
                              seed, lam)
     rules = StoppingRules(radius=window_half - 1, time_cap=t_horizon)
-    pos, why = _walk(env, np.zeros((replicas, d), dtype=np.int64), rules,
-                     stream(seed, "diffusivity", mode), mode)
+    flat, why = _walk(env, np.zeros(d, dtype=np.int64), replicas, rules,
+                      stream(seed, "diffusivity", mode), mode)
     kept = why != STOPS.index("radius")
     n_disc = int((~kept).sum())
     if n_disc > 0.01 * replicas:
         raise SolverError(
             f"{n_disc} of {replicas} replicas hit the window; enlarge it")
-    X = pos[kept].astype(np.float64)
+    X = env.sites_at(flat[kept]).astype(np.float64)
     prod = np.einsum("ki,kj->kij", X, X) / t_horizon
     mat = prod.mean(axis=0)
     se = prod.std(axis=0, ddof=1) / math.sqrt(kept.sum())

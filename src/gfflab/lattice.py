@@ -199,16 +199,19 @@ def empty_set(d: int) -> SiteSet:
     return SiteSet(np.empty((0, d), dtype=np.int64), d=d)
 
 
+def _box_coords(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The (n, d) sites of the box [lo, hi] in lexicographic order."""
+    axes = [np.arange(a, b + 1, dtype=np.int64) for a, b in zip(lo, hi)]
+    return np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=1)
+
+
 def box_sites(lo, hi) -> SiteSet:
     """All integer sites of the box [lo, hi] (both ends inclusive)."""
     lo = as_coords(lo)[0]
     hi = as_coords(hi)[0]
     if np.any(hi < lo):
         return empty_set(lo.shape[0])
-    axes = [np.arange(lo[a], hi[a] + 1, dtype=np.int64) for a in range(lo.shape[0])]
-    grids = np.meshgrid(*axes, indexing="ij")
-    coords = np.stack([g.ravel() for g in grids], axis=1)
-    return SiteSet(coords, d=lo.shape[0])
+    return SiteSet(_box_coords(lo, hi), d=lo.shape[0])
 
 
 def ball(x, r: int, d: int | None = None) -> SiteSet:
@@ -406,9 +409,8 @@ def blow_up(shape, N: int, d: int | None = None) -> SiteSet:
     d = lo.shape[0] if d is None else d
     ilo = np.floor(np.asarray(lo) * N).astype(np.int64)
     ihi = np.ceil(np.asarray(hi) * N).astype(np.int64)
-    grid = box_sites(ilo, ihi)
-    keep = shape.contains(grid.coords / float(N))
-    return SiteSet(grid.coords[keep], d=d)
+    grid = _box_coords(ilo, ihi)
+    return SiteSet(grid[shape.contains(grid / float(N))], d=d)
 
 
 def shape_from_spec(spec: dict):

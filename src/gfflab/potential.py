@@ -10,15 +10,16 @@ harmonic potentials, capacities and field covariances alike.
 
 Edges are enumerated in two places, both in the step order of
 `lattice.neighbor_steps`: `Conductances.neighbor_weights` reads the 2d
-edge weights at each site in one gather (for site weights, boundary data
-and walk steps), and `_inner_edges` lists the edges inside a domain from
-them (for L_U and its incidence factor). Which neighbor x + s of a site
-of U lies in U is read from `SiteSet.shifted(s)`, one search of U's own
-shifted keys per step, never by packing U.coords + s anew; that serves
-the inner edges, the edges leaving U (the killing rows of the incidence
-factor) and the boundary flux, which looks up data and gathers weights
-only at the sites with a neighbor outside U. Dirichlet energies are
-quadratic forms of L_U.
+edge weights at each site in one gather (for site weights and boundary
+data; walk steps take the same offsets at flat indices,
+`neighbor_weights_at`), and `_inner_edges` lists the edges inside a
+domain from them (for L_U and its incidence factor). Which neighbor x + s
+of a site of U lies in U is read from `SiteSet.shifted(s)`, one search of
+U's own shifted keys per step, never by packing U.coords + s anew; that
+serves the inner edges, the edges leaving U (the killing rows of the
+incidence factor) and the boundary flux, which looks up data and gathers
+weights only at the sites with a neighbor outside U. Dirichlet energies
+are quadratic forms of L_U.
 
 Capacities are read from the flux on A: the equilibrium measure is
 (L_B h)(x) = sum_y omega_{x,y} (h(x) - h(y)) at each x of A, taken from
@@ -56,12 +57,14 @@ of F, solved by CG: again covariance L_U^{-1}, with no factor built.
 
 Walks: one loop, `_walk`, steps every walker, in lock step for a batch
 (`hitting_frequency`, `homogenization.estimate_diffusivity`) and alone,
-with its path recorded, for `walk_simulate`. One set of rules,
-`StoppingRules`, stops a walker: `fired` checks hit, then exit, then
-radius on the skeleton, and the time cap reads the clock, which runs only
-with a walk mode. Each step reads the 2d weights of every walker by one
-edge-checked gather; reaching the edge of the environment window, or
-taking `MAX_WALK_STEPS` steps without stopping, raises `SolverError`.
+with its path recorded, for `walk_simulate`. All walkers start at one
+site; each is its flat index into the environment window, moved by
+s @ strides, its weights one unchecked take. `StoppingRules.codes` stops
+them: one int8 per window site, built once per walk, reads hit, then
+exit, then radius, and EDGE on the window's outer layers, where no rule
+fires. A walker on EDGE, or `MAX_WALK_STEPS` steps without stopping,
+raises `SolverError`; the time cap reads the clock, which runs only with
+a walk mode. Flat indices become sites once, at the end.
 """
 
 from __future__ import annotations
@@ -437,7 +440,8 @@ def harmonic_extension(env: Conductances, U: SiteSet, data_sites: SiteSet,
 
 def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
                        op: DirichletOperator | None = None) -> np.ndarray:
-    """h(x) = P_x[hit A before exiting B], returned over B (1 on A)."""
+    """h(x) = P_x[hit A before exiting B], returned over B (1 on A); a
+    given operator's domain must be B minus A."""
     if A.is_empty:
         raise ValueError("target set A must be non-empty")
     if not A.issubset(B):
@@ -445,10 +449,11 @@ def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
     h = np.zeros(len(B))
     in_A = A.contains_mask(B.coords)
     h[in_A] = 1.0
-    U = SiteSet(B.coords[~in_A], B.d)
+    U = SiteSet(B.coords[~in_A], B.d) if op is None else op.sites
+    if op is not None and not np.array_equal(U.coords, B.coords[~in_A]):
+        raise ValueError("supplied operator was built for a different domain")
     if not U.is_empty:
-        hU = harmonic_extension(env, U, A, np.ones(len(A)), op=op)
-        h[~in_A] = hU
+        h[~in_A] = harmonic_extension(env, U, A, np.ones(len(A)), op=op)
     return h
 
 
@@ -602,6 +607,7 @@ def heat_kernel_killed(env: Conductances, U: SiteSet, t: float, x,
 
 
 STOPS = (None, "hit", "exit", "radius", "time_cap")
+EDGE = -1  # stop code of the window's outer layers, where no step is stored
 
 
 @dataclass
@@ -617,17 +623,28 @@ class StoppingRules:
         if self.exit is None and self.radius is None and self.time_cap is None:
             raise ValueError("an exit rule, a radius or a time cap is required")
 
-    def fired(self, pos: np.ndarray, origin: np.ndarray) -> np.ndarray:
-        """Per walker at a row of pos, started at that of origin, the first
-        skeleton rule to fire, hit then exit then radius: an index into STOPS."""
-        why = np.zeros(len(pos), dtype=np.int8)
+    def codes(self, env: Conductances, start: np.ndarray) -> np.ndarray:
+        """Per flat index of env's window, the first skeleton rule to fire
+        on a walk from `start`, hit then exit then radius (an index into
+        STOPS), else EDGE on the outer layers, else 0; flat index -1 (off
+        the window) reads a last entry, EDGE."""
+        codes = np.full(np.prod(env.shape) + 1, EDGE, dtype=np.int8)
+        window = codes[:-1].reshape(env.shape)
+        window[(slice(1, -1),) * env.d] = 0
         if self.radius is not None:
-            why[np.abs(pos - origin).max(axis=1) >= self.radius] = 3
+            far = np.zeros(env.shape, dtype=bool)
+            s = start - env.origin  # offsets from the start, axis by axis
+            for x in np.ix_(*map(np.arange, -s, env.shape - s)):
+                far |= np.abs(x) >= self.radius
+            window[far] = 3
         if self.exit is not None:
-            why[~self.exit.contains_mask(pos)] = 2
+            inside = np.zeros(codes.size, dtype=bool)
+            inside[env.flat_index(self.exit.coords, 0)] = True
+            codes[~inside] = 2
         if self.hit is not None:
-            why[self.hit.contains_mask(pos)] = 1
-        return why
+            codes[env.flat_index(self.hit.coords, 0)] = 1
+        codes[-1] = EDGE
+        return codes
 
 
 @dataclass
@@ -638,39 +655,43 @@ class WalkPath:
     total_time: float
 
 
-def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Walker i at pos[i] takes step m of `neighbor_steps` for the first m
-    with u_i < c_m, c the cumulative sums of its neighbor weights w[i] and
-    u_i in [0, omega_i]: u_i = c_m takes step m + 1, u_i = omega_i the last."""
+def _jump(pos: np.ndarray, w: np.ndarray, u: np.ndarray,
+          steps: np.ndarray) -> np.ndarray:
+    """Walker i at pos[i] takes step m of `steps` (flat, in the order of
+    `neighbor_steps`) for the first m with u_i < c_m, c the cumulative sums
+    of its neighbor weights w[i] and u_i in [0, omega_i]: u_i = c_m takes
+    step m + 1, u_i = omega_i the last."""
     m = (np.cumsum(w, axis=1) <= u[:, None]).sum(axis=1)
-    return pos + neighbor_steps(pos.shape[1])[np.minimum(m, w.shape[1] - 1)]
+    return pos + steps[np.minimum(m, w.shape[1] - 1)]
 
 
-def _walk(env: Conductances, pos: np.ndarray, rules: StoppingRules,
+def _walk(env: Conductances, start: np.ndarray, count: int, rules: StoppingRules,
           rng: np.random.Generator, mode: str | None = None,
           _path: list | None = None):
-    """Step the walkers at the rows of pos in lock step until `rules` stop
-    each; return their final positions and stop reasons (indices into
-    STOPS). With a mode, each step draws the holding times, Exp(1) for
-    'csrw' or Exp(omega_y) for 'vsrw', before one uniform per mover; a
-    time cap needs a mode. With a mode, a `_path` list gets one (holding
-    times, new positions) pair of the movers per step."""
+    """Step `count` walkers from the site `start` in lock step until
+    `rules` stop each; return their final flat indices (see
+    `Conductances.sites_at`) and stop reasons (indices into STOPS). With a
+    mode, each step draws the holding times, Exp(1) for 'csrw' or
+    Exp(omega_y) for 'vsrw', before one uniform per mover; a time cap
+    needs a mode. With a mode, a `_path` list gets one (holding times, new
+    flat indices) pair of the movers per step."""
     if mode is None and rules.time_cap is not None:
         raise ValueError("a time cap needs a walk mode")
-    origin, pos = pos, pos.copy()
-    why = np.zeros(len(pos), dtype=np.int8)
-    clock = np.zeros(len(pos))
-    idx = np.arange(len(pos))
+    codes = rules.codes(env, start)
+    pos = np.repeat(env.flat_index(start, 0), count)
+    steps = neighbor_steps(env.d) @ env.strides
+    why = np.zeros(count, dtype=np.int8)
+    clock = np.zeros(count)
+    idx = np.arange(count)
     for _ in range(MAX_WALK_STEPS):
-        why[idx] = stop = rules.fired(pos[idx], origin[idx])
+        why[idx] = stop = codes[pos[idx]]
+        if (stop == EDGE).any():
+            raise SolverError("walk reached the environment window edge")
         idx = idx[stop == 0]
         if not idx.size:
             return pos, why
         p = pos[idx]
-        try:
-            w = env.neighbor_weights(p)
-        except ValueError as exc:
-            raise SolverError("walk reached the environment window edge") from exc
+        w = env.neighbor_weights_at(p)
         omega = w.sum(axis=1)
         if mode is not None:
             rate = omega if mode == "vsrw" else np.ones_like(omega)
@@ -680,7 +701,7 @@ def _walk(env: Conductances, pos: np.ndarray, rules: StoppingRules,
                 go = clock[idx] < rules.time_cap
                 why[idx[~go]] = STOPS.index("time_cap")
                 idx, p, w, omega, hold = idx[go], p[go], w[go], omega[go], hold[go]
-        pos[idx] = _jump(p, w, rng.random(idx.size) * omega)
+        pos[idx] = _jump(p, w, rng.random(idx.size) * omega, steps)
         if _path is not None:
             _path.append((hold, pos[idx]))
     raise SolverError("walk exceeded the step budget without stopping")
@@ -698,12 +719,12 @@ def walk_simulate(env: Conductances, start, rules: StoppingRules,
     """
     if mode not in ("csrw", "vsrw"):
         raise ValueError("mode must be 'csrw' or 'vsrw'")
-    origin = as_coords(start, env.d)[:1]
-    path = [(np.empty(0), origin)]
-    why = STOPS[_walk(env, origin, rules, rng, mode, path)[1][0]]
-    holding, skeleton = (np.concatenate(part) for part in zip(*path))
+    origin = as_coords(start, env.d)[0]
+    path = [(np.empty(0), env.flat_index(origin, 0))]
+    why = STOPS[_walk(env, origin, 1, rules, rng, mode, path)[1][0]]
+    holding, flat = (np.concatenate(part) for part in zip(*path))
     elapsed = float(np.cumsum(holding)[-1]) if holding.size else 0.0
-    return WalkPath(skeleton, holding, why,
+    return WalkPath(env.sites_at(flat), holding, why,
                     rules.time_cap if why == "time_cap" else elapsed)
 
 
@@ -711,6 +732,6 @@ def hitting_frequency(env: Conductances, start, rules: StoppingRules,
                       rng: np.random.Generator, replicas: int) -> tuple[float, float]:
     """Batched skeleton Monte Carlo for P[the walk from `start` stops by
     the hit rule of `rules`]: (frequency, binomial standard error)."""
-    pos = np.tile(as_coords(start, env.d)[:1], (replicas, 1))
-    freq = (_walk(env, pos, rules, rng)[1] == STOPS.index("hit")).mean()
+    why = _walk(env, as_coords(start, env.d)[0], replicas, rules, rng)[1]
+    freq = (why == STOPS.index("hit")).mean()
     return float(freq), binomial_se(freq, replicas)

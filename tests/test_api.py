@@ -18,7 +18,10 @@ the conductances stays behind `Conductances`' lookups, and that
 `DirichletOperator._pcg`, so the package has one conjugate-gradient loop,
 and that no module looks up the neighbors of a site set in itself by
 `X.locate(X.coords + s)` or `X.contains_mask(X.coords + s)`: those go
-through `SiteSet.shifted`, which needs no packing of coordinates.
+through `SiteSet.shifted`, which needs no packing of coordinates. The
+walk loop `potential._walk` calls no site-set lookup and no `as_coords`,
+so walkers move on flat window indices alone, with no coordinate path
+beside them.
 
 A subprocess checks that importing the command line leaves `scipy.stats`
 and `scipy.spatial` unimported, since every run pays for its imports.
@@ -218,6 +221,22 @@ def test_the_neighbor_query_scan_sees_both_forms():
                      "A.locate(B.coords + s)\n"
                      "U.locate(U.coords[ext] + s)\n")
     assert _self_neighbor_queries(tree) == [1, 2, 4]
+
+
+def _called_names(tree: ast.Module, function: str) -> set[str]:
+    """Names called, bare or as attributes, in the body of `function`."""
+    return {node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for fn in ast.walk(tree)
+            if isinstance(fn, ast.FunctionDef) and fn.name == function
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def test_the_walk_loop_steps_on_flat_indices_alone():
+    called = _called_names(_parse(PACKAGE / "potential.py"), "_walk")
+    assert {"codes", "neighbor_weights_at", "_jump"} <= called
+    assert not called & {"locate", "contains_mask", "shifted", "as_coords"}
 
 
 def test_the_command_line_does_not_import_scipy_stats_or_spatial():

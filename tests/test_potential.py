@@ -12,6 +12,7 @@ from gfflab.potential import (
     BAND_BYTES,
     CG_COLUMNS,
     CG_TOL,
+    EDGE,
     DirichletOperator,
     STOPS,
     SolverError,
@@ -343,13 +344,41 @@ def test_walk_radius_alone_terminates(const_env):
     assert np.abs(path.skeleton[:-1]).max() < 2
 
 
-def test_stopping_rules_rank_hit_over_exit_over_radius():
-    rules = StoppingRules(hit=SiteSet([[0, 0, 0], [3, 0, 0]]),
-                          exit=ball([0, 0, 0], 2), radius=1)
-    pos = np.array([[0, 0, 0], [3, 0, 0], [3, 3, 0], [1, 0, 0], [1, 0, 0]])
-    origin = np.array([[0, 0, 0]] * 4 + [[1, 0, 0]])
-    assert [STOPS[k] for k in rules.fired(pos, origin)] == [
-        "hit", "hit", "exit", "radius", None]
+def test_stopping_rules_rank_hit_over_exit_over_radius(const_env):
+    # const_env stores [-8, 8]^3: its padded window [-9, 9]^3 has the
+    # outer layers -9 and 9 on every axis, and [10, 0, 0] lies off it
+    rules = StoppingRules(hit=SiteSet([[1, 1, 0], [3, 0, 0], [5, 0, 0], [9, 0, 0]]),
+                          exit=ball([1, 0, 0], 3), radius=2)
+    pos = np.array([[1, 1, 0], [3, 0, 0], [5, 0, 0], [4, 4, 0], [3, 1, 0],
+                    [2, 0, 0], [9, 0, 0], [9, 1, 0], [0, -9, 0], [10, 0, 0]])
+    flat = const_env.flat_index(pos, 0)
+    name = dict(enumerate(STOPS)) | {EDGE: "edge"}
+    codes = rules.codes(const_env, np.array([1, 0, 0]))
+    assert codes.shape == (19 ** 3 + 1,)
+    assert [name[k] for k in codes[flat]] == [
+        "hit", "hit", "hit", "exit", "radius", None, "hit", "exit", "exit", "edge"]
+    codes = StoppingRules(time_cap=1.0).codes(const_env, np.array([1, 0, 0]))
+    assert [name[k] for k in codes[flat]] == [None] * 6 + ["edge"] * 4
+
+
+def test_walk_on_the_window_outer_layers(const_env):
+    # a walker there with no rule firing has no stored step: SolverError
+    # at once, before the radius rule can fire one step later; a rule that
+    # fires there stops the walker with that rule's reason
+    for start in ([9, 0, 0], [0, -9, 0], [9, 9, 9]):
+        with pytest.raises(SolverError, match="window edge"):
+            hitting_frequency(const_env, start, StoppingRules(radius=1),
+                              stream(23, "edge"), 4)
+        for reason, rules in (
+                ("exit", StoppingRules(exit=ball([0, 0, 0], 8))),
+                ("hit", StoppingRules(hit=SiteSet([start]), time_cap=1.0)),
+                ("radius", StoppingRules(radius=0))):
+            path = walk_simulate(const_env, start, rules, stream(23, "edge"))
+            assert (path.stop_reason, len(path.skeleton)) == (reason, 1)
+            assert np.array_equal(path.skeleton[0], start)
+    with pytest.raises(SolverError, match="window edge"):
+        walk_simulate(const_env, [10, 0, 0], StoppingRules(exit=ball([0, 0, 0], 8)),
+                      stream(23, "edge"))
 
 
 def test_walk_hit_priority(env):
@@ -738,9 +767,10 @@ def test_jump_rule_at_cumulative_weight_boundaries():
     c = np.cumsum(w)
     u = np.concatenate([[0.0], c[:-1], c[:-1] - 2.0 ** -10, [c[-1]]])
     step = np.concatenate([[0], np.arange(1, 6), np.arange(5), [5]])
-    pos = np.tile([2, -1, 0], (len(u), 1))
-    moved = _jump(pos, np.tile(w, (len(u), 1)), u)
-    assert np.array_equal(moved, pos + neighbor_steps(3)[step])
+    flat_steps = neighbor_steps(3) @ [100, 10, 1]
+    pos = np.full(len(u), 517)
+    moved = _jump(pos, np.tile(w, (len(u), 1)), u, flat_steps)
+    assert np.array_equal(moved, pos + flat_steps[step])
 
 
 def test_incidence_factor_identity(env):
