@@ -40,7 +40,6 @@ from .homogenization import (
     disconnection_rate_experiment,
     estimate_diffusivity,
     eta_from_spec,
-    repulsion_experiment,
 )
 from .streams import stream
 
@@ -97,7 +96,7 @@ REQUIRED_KEYS = {
     "homogenize.diffusivity": {"t_horizon": "number > 0",
                                "replicas": "integer >= 2"},
     "disconnect": {"A": "object", "M": "number", "alpha": "number",
-                   "alpha_star_ref": "number", "epsilon": "number", "N": "integer",
+                   "alpha_star_ref": "number", "epsilon": "number", "N": "integer >= 1",
                    "direct_replicas": COUNT, "tilted_replicas": COUNT},
     "disconnect+eta": {"Delta": "number"},
 }
@@ -203,6 +202,17 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 bad.append("disconnect: eps_ladder entries must be of JSON type number")
             if len(set(eps)) < len(eps):
                 bad.append("disconnect: eps_ladder must not repeat a value")
+        if name == "percolation":
+            for key, t, of in (("L_grid", "integer >= 1", "integers >= 1"),
+                               ("alpha_grid", "number", "numbers")):
+                if not sec[key] or any(_type_error(v, t) for v in sec[key]):
+                    bad.append(f"percolation: {key} must be a non-empty list of {of}")
+            zs = sec.get("connectivity", {}).get("z_list")
+            if zs is not None and (not zs or any(
+                    _type_error(z, "list") or len(z) != d
+                    or any(_type_error(v, "integer") for v in z) for z in zs)):
+                bad.append("percolation.connectivity: z_list must be a non-empty "
+                           f"list of sites of {d} integers each")
         if name == "homogenize":
             ladder = sec["N_list"]
             if (not ladder or any(_type_error(N, "integer >= 1") for N in ladder)
@@ -466,31 +476,30 @@ class Runner:
     def run_disconnect(self) -> None:
         sec = self.config["disconnect"]
         B = shape_from_spec(sec["B"]) if "B" in sec else None
-        # one environment, factor and tilt solve serve both experiments
+        # one environment, factor and tilt solve serve the whole run
         inst = _DisconnectionInstance(self.law, shape_from_spec(sec["A"]),
                                       sec["M"], sec["N"], self.lam, self.seed,
                                       B_shape=B, d=self.d)
-        tilt = (sec["alpha"], sec["alpha_star_ref"], sec["epsilon"],
-                sec.get("delta_shell", 0.0))
         self.env_hash = inst.env.content_hash()
         self.environments["disconnect"] = inst.env.identity()
         report = disconnection_rate_experiment(
-            inst, *tilt, sec["direct_replicas"], sec["tilted_replicas"],
-            eps_ladder=sec.get("eps_ladder"))
+            inst, sec["alpha"], sec["alpha_star_ref"], sec["epsilon"],
+            sec.get("delta_shell", 0.0), sec["direct_replicas"],
+            sec["tilted_replicas"], eps_ladder=sec.get("eps_ladder"),
+            eta_spec=sec.get("eta"), Delta=sec.get("Delta"))
         rows = [[p.epsilon, p.tilted_freq, p.tilted_se, p.is_estimate,
                  p.is_se, p.ess, p.entropy_H] for p in report.ladder]
         write_csv(self._record("disconnect_ladder.csv"),
                   ["epsilon", "tilted_freq", "tilted_se", "is_estimate",
                    "is_se", "ess", "entropy_H"], rows, self.chash)
-        summary = {k: v for k, v in report.__dict__.items() if k != "ladder"}
+        summary = {k: v for k, v in report.__dict__.items()
+                   if k not in ("ladder", "repulsion")}
         with open(self._record("disconnect_summary.json"), "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True, default=float)
-        if "eta" in sec:
-            rep = repulsion_experiment(inst, *tilt, sec["tilted_replicas"],
-                                       sec["eta"], sec["Delta"])
+        if report.repulsion is not None:
             with open(self._record("repulsion_summary.json"), "w") as fh:
-                json.dump(rep.__dict__, fh, indent=2, sort_keys=True,
-                          default=float)
+                json.dump(report.repulsion.__dict__, fh, indent=2,
+                          sort_keys=True, default=float)
 
     def manifest(self, command: str, t0: float) -> None:
         data = {

@@ -1,6 +1,6 @@
 """Scaling experiments: capacity and potential homogenization, walk
 diffusivity, continuum references, and the tilted-measure disconnection
-and repulsion pipelines.
+pipeline with its repulsion statistics.
 
 Each Dirichlet problem is solved once: one potential h_{A_N,B_N} per
 scale gives both the capacity and the pairing <h, eta>, and one unit tilt
@@ -8,15 +8,15 @@ profile serves every strength of a disconnection epsilon ladder.
 
 A `_DisconnectionInstance` is the unit of a disconnection run: it holds
 the environment, the geometry (A_N, S_N, B_N, the M N box), the box's
-operator and the seed of every draw stream. Both experiments read all of
-these from the instance alone, so one instance serves `gfflab
-disconnect` whole. Their Monte Carlo loops draw `CHUNK` fields per block
-through `percolation._draw_blocks`; the chunk fixes which normals each
-draw consumes, so it is a constant of the outputs, not a knob. The
-direct loop and the tilted loop of every epsilon of the ladder are one
-pipeline, one stream each in that order, so the first block of each
-tilted stream is drawn while the previous stream's last block is
-labelled; the per-epsilon tilt shifts are fixed before it starts.
+operator and the seed of every draw stream, so one instance serves
+`gfflab disconnect` whole. Its one Monte Carlo loop draws `CHUNK` fields
+per block through `percolation._draw_blocks`; the chunk fixes which
+normals each draw consumes, so it is a constant of the outputs, not a
+knob. The direct loop and the tilted loop of every epsilon of the ladder
+are one pipeline, one stream each in that order, so the first block of
+each tilted stream is drawn while the previous stream's last block is
+labelled; the per-epsilon tilt shifts are fixed before it starts. The
+tilted fields of the main epsilon also give the repulsion statistics.
 
 All "as N grows" statements are rendered as Cauchy/trend verdicts over a
 finite ladder of scales; nothing here certifies an asymptotic constant.
@@ -301,6 +301,21 @@ class LadderPoint:
 
 
 @dataclass
+class RepulsionReport:
+    pairing_mean_tilted: float
+    pairing_se_tilted: float
+    pairing_tilt_reference: float
+    tilt_mean_ok: bool
+    conditional_mean: float
+    conditional_se: float
+    profile_pairing: float
+    deviation_is_estimate: float
+    deviation_is_se: float
+    n_disconnected: int
+    delta: float
+
+
+@dataclass
 class DisconnectionReport:
     N: int
     M: float
@@ -328,9 +343,10 @@ class DisconnectionReport:
     rate_reference: float
     rate_reference_eps: float
     ladder: list = field(default_factory=list)
+    repulsion: RepulsionReport | None = None
 
 
-CHUNK = 500  # draws per block of every disconnection and repulsion loop
+CHUNK = 500  # draws per block of every stream of the disconnection pipeline
 
 
 class _DisconnectionInstance:
@@ -413,8 +429,8 @@ def _unshift(x: float, top: float) -> float:
 def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
                                   alpha_star_ref: float, epsilon: float,
                                   delta_shell: float, direct_replicas: int,
-                                  tilted_replicas: int, eps_ladder=None
-                                  ) -> DisconnectionReport:
+                                  tilted_replicas: int, eps_ladder=None,
+                                  eta_spec=None, Delta=None) -> DisconnectionReport:
     """Direct and entropically tilted estimation of the probability that
     the level set disconnects the blown-up set from the enclosing shell.
 
@@ -424,13 +440,24 @@ def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
     bound; likelihood ratios are exact, so the importance-sampling
     estimator is unbiased for any epsilon. Environment, geometry and
     seed all come from `inst`, whose tilt profile is solved once.
+
+    Given a test function `eta_spec` and a deviation threshold `Delta`,
+    the tilted fields of the main epsilon also give the repulsion
+    statistics (`_repulsion`), with the flags and weights of the same draws.
     """
     N, M, d, seed = inst.N, inst.M, inst.domain.d, inst.seed
     ladder_eps = list(eps_ladder) if eps_ladder is not None else [epsilon]
     if epsilon not in ladder_eps:
         ladder_eps.append(epsilon)
+    main = ladder_eps.index(epsilon)
     g, cap_tilt = inst.tilt_function(delta_shell)
     shifts = [-(alpha_star_ref - alpha + eps) * g for eps in ladder_eps]
+    if eta_spec is not None:
+        eta_tilde = eta_from_spec(eta_spec)(inst.domain.coords / N) / N ** d
+        # h_{A_N,B_N} is the tilt profile of delta_shell 0, which is 0 off B_N
+        h_A, _ = inst.tilt_function(0.0)
+        profile = -(alpha_star_ref - alpha) * float(h_A @ eta_tilde)
+        pairs = []
     # stream 0 is the direct loop, stream 1 + j the tilted loop of ladder_eps[j]
     streams = [(stream(seed, "disconnect-direct"), direct_replicas)] + [
         (stream(seed, "disconnect-tilted", repr(float(eps))), tilted_replicas)
@@ -447,11 +474,12 @@ def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
         discs[i - 1].append(inst.disconnected(block, alpha))
         logws[i - 1].append(tilt_log_weights(inst.env, inst.domain, f, block,
                                              op=inst.op))
+        if eta_spec is not None and i - 1 == main:
+            pairs.append(block.T @ eta_tilde)
     p_direct = hits / direct_replicas
     se_direct = binomial_se(p_direct, direct_replicas)
 
     ladder = []
-    main_point = None
     for j, eps in enumerate(ladder_eps):
         strength = alpha_star_ref - alpha + eps
         H = 0.5 * strength ** 2 * cap_tilt
@@ -464,15 +492,16 @@ def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
         is_se = _unshift(math.sqrt(max(w2sum / n - (wsum / n) ** 2, 0.0) / n), top)
         freq = int(disc.sum()) / n
         ess = wsum ** 2 / w2sum if w2sum > 0 else 0.0
-        point = LadderPoint(float(eps), freq, binomial_se(freq, n),
-                            is_est, is_se, ess, H)
-        ladder.append(point)
-        if eps == epsilon:
-            main_point = point
+        ladder.append(LadderPoint(float(eps), freq, binomial_se(freq, n),
+                                  is_est, is_se, ess, H))
+        if j == main:
             # log of the estimate, finite even where is_est underflows to 0
             log_is = top + math.log(wsum / n) if wsum > 0 else -math.inf
+            repulsion = None if eta_spec is None else _repulsion(
+                np.concatenate(pairs), disc, wd, top,
+                float(shifts[j] @ eta_tilde), profile, Delta)
 
-    mp = main_point
+    mp = ladder[main]
     # relative-entropy lower bound evaluated at the tilted frequency
     if mp.tilted_freq > 0:
         bound = math.log(mp.tilted_freq) - (mp.entropy_H + 1.0 / math.e) / mp.tilted_freq
@@ -500,62 +529,18 @@ def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
         rate_proxy_is=rate_is,
         rate_reference=0.5 * (alpha_star_ref - alpha) ** 2 * cap_scaled,
         rate_reference_eps=0.5 * (alpha_star_ref - alpha + epsilon) ** 2 * cap_scaled,
-        ladder=ladder,
+        ladder=ladder, repulsion=repulsion,
     )
 
 
-@dataclass
-class RepulsionReport:
-    pairing_mean_tilted: float
-    pairing_se_tilted: float
-    pairing_tilt_reference: float
-    tilt_mean_ok: bool
-    conditional_mean: float
-    conditional_se: float
-    profile_pairing: float
-    deviation_is_estimate: float
-    deviation_is_se: float
-    n_disconnected: int
-    delta: float
-
-
-def repulsion_experiment(inst: _DisconnectionInstance, alpha: float,
-                         alpha_star_ref: float, epsilon: float,
-                         delta_shell: float, tilted_replicas: int,
-                         eta_spec: dict, Delta: float) -> RepulsionReport:
-    """Behavior of the macroscopic field average under the tilted law.
-
-    Pairs the empirical field with a test function, checks that the
-    unconditional tilted mean matches the deterministic tilt pairing
-    within 5 standard errors, and reports the disconnection-conditioned,
-    reweighted mean next to the finite-volume profile pairing
-    -(ref - alpha) <h_{A_N,B_N}, eta>.
-    `inst` is the only source of environment, geometry and seed.
-    """
-    N, d = inst.N, inst.domain.d
-    eta = eta_from_spec(eta_spec)
-    eta_tilde = eta(inst.domain.coords / float(N)) / float(N) ** d
-    g, _ = inst.tilt_function(delta_shell)
-    f = -(alpha_star_ref - alpha + epsilon) * g
-    h_A = harmonic_potential(inst.env, inst.A_N, inst.B_N)
-    eta_on_B = eta(inst.B_N.coords / float(N)) / float(N) ** d
-    profile_pairing = -(alpha_star_ref - alpha) * float(np.sum(h_A * eta_on_B))
-
-    trng = stream(inst.seed, "repulsion-tilted")
-    pair_vals, disc_flags, logws = [], [], []
-    for _, block in _draw_blocks(inst.op, [(trng, tilted_replicas)], CHUNK):
-        block += f[:, None]
-        pair_vals.append(block.T @ eta_tilde)
-        disc_flags.append(inst.disconnected(block, alpha))
-        logws.append(tilt_log_weights(inst.env, inst.domain, f, block, op=inst.op))
-    pair = np.concatenate(pair_vals)
-    disc = np.concatenate(disc_flags)
-    wd, top = _shifted_weights(np.concatenate(logws), disc)
-    n = tilted_replicas
-
+def _repulsion(pair, disc, wd, top, tilt_ref, profile_pairing, Delta) -> RepulsionReport:
+    """The tilted draws' pairings with eta, disconnection flags and shifted
+    weights against the tilt pairing (within 5 standard errors) and the
+    profile pairing -(ref - alpha) <h_{A_N,B_N}, eta>, with and without
+    conditioning on disconnection."""
+    n = len(pair)
     mean_t = float(pair.mean())
     se_t = float(pair.std(ddof=1) / math.sqrt(n))
-    tilt_ref = float(f @ eta_tilde)
     tilt_ok = abs(mean_t - tilt_ref) <= 5.0 * se_t
 
     if wd.sum() > 0:

@@ -16,7 +16,10 @@ the conductances stays behind `Conductances`' lookups, and that
 `percolation.py`, home of the draw pipeline, is the only one that imports
 `threading` or `concurrent.futures`, that `CG_TOL` is read only by
 `DirichletOperator._pcg`, so the package has one conjugate-gradient loop,
-and that no module looks up the neighbors of a site set in itself by
+that in `homogenization.py` only `disconnection_rate_experiment` draws
+fields through `_draw_blocks` (the module-level import aside), so one
+tilted sample serves disconnection and repulsion, and that no module
+looks up the neighbors of a site set in itself by
 `X.locate(X.coords + s)` or `X.contains_mask(X.coords + s)`: those go
 through `SiteSet.shifted`, which needs no packing of coordinates. The
 walk loop `potential._walk` calls no site-set lookup and no `as_coords`,
@@ -179,6 +182,13 @@ def _readers(name: str) -> set[str]:
 def test_one_conjugate_gradient_loop():
     # a second solver loop would need the tolerance that ends the first
     assert _readers("CG_TOL") == {"potential.DirichletOperator._pcg"}
+
+
+def test_one_disconnection_sampling_loop():
+    # a second loop in homogenization would draw the tilted law again
+    # instead of reading the sample the disconnection estimate drew
+    readers = {q for q in _readers("_draw_blocks") if q.startswith("homogenization")}
+    assert readers == {"homogenization", "homogenization.disconnection_rate_experiment"}
 
 
 def _coords_of(expr: ast.expr) -> ast.expr | None:

@@ -126,6 +126,31 @@ def test_disconnect_exits_3_when_a_draw_fails(tmp_path, monkeypatch, capsys):
     assert len(calls) == 2
 
 
+def test_disconnect_draws_each_field_once(tmp_path, monkeypatch):
+    from gfflab.potential import DirichletOperator
+
+    drawn = []
+    real = DirichletOperator.sample_gaussian
+
+    def counting(self, rng, count):
+        drawn.append(count)
+        return real(self, rng, count)
+
+    monkeypatch.setattr(DirichletOperator, "sample_gaussian", counting)
+    cfg = _base(tmp_path)
+    cfg["disconnect"] = {**_DISCONNECT, "eps_ladder": [0.6], "Delta": 0.05,
+                         "eta": {"kind": "radial_bump", "center": [0, 0, 0],
+                                 "radius": 1.0}}
+    assert main(["disconnect", "--config", _write(tmp_path, cfg)]) == 0
+    out = tmp_path / "run1"
+    ladder = (out / "disconnect_ladder.csv").read_text().splitlines()[2:]
+    assert len(ladder) == 2  # the ladder's epsilon and the main one
+    # the repulsion statistics reuse the main epsilon's tilted fields
+    assert (out / "repulsion_summary.json").exists()
+    assert sum(drawn) == (_DISCONNECT["direct_replicas"]
+                          + len(ladder) * _DISCONNECT["tilted_replicas"])
+
+
 def test_potential_run_singleton_capacity(tmp_path):
     cfg = _base(tmp_path)
     cfg["potential"] = {"A_center": [0, 0, 0], "A_radius": 0,
@@ -263,6 +288,15 @@ def test_missing_required_key_exit_code(tmp_path, capsys):
      "percolation: replicas must be of JSON type integer"),
     ("gff", {"radius": 1, "count": 2.5},
      "gff: count must be of JSON type integer"),
+    ("percolation", {"L_grid": ["a"], "alpha_grid": [0.0], "replicas": 4},
+     "percolation: L_grid must be a non-empty list of integers >= 1"),
+    ("percolation", {"L_grid": [1], "alpha_grid": ["x"], "replicas": 4},
+     "percolation: alpha_grid must be a non-empty list of numbers"),
+    ("percolation", {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4,
+                     "connectivity": {"alpha": 0.2, "z_list": [[0, 0]],
+                                      "replicas": 4}},
+     "percolation.connectivity: z_list must be a non-empty list of sites of "
+     "3 integers each"),
 ])
 def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
@@ -308,6 +342,9 @@ _DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
      "homogenize.diffusivity: replicas must be >= 2"),
     ("homogenize", {**_HOMOGENIZE, "diffusivity": {**_DIFFUSIVITY, "replicas": 1}},
      "homogenize.diffusivity: replicas must be >= 2"),
+    ("disconnect", {**_DISCONNECT, "N": 0}, "disconnect: N must be >= 1"),
+    ("percolation", {**_PERCOLATION, "L_grid": []},
+     "percolation: L_grid must be a non-empty list of integers >= 1"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)

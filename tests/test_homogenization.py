@@ -19,7 +19,6 @@ from gfflab.homogenization import (
     disconnection_rate_experiment,
     estimate_diffusivity,
     eta_from_spec,
-    repulsion_experiment,
 )
 from gfflab.lattice import blow_up, euclidean_ball, linf_box
 from gfflab.potential import DirichletOperator, band_pays, harmonic_potential
@@ -204,8 +203,8 @@ def test_each_dirichlet_problem_is_solved_once(tmp_path, monkeypatch):
         direct_replicas=50, tilted_replicas=50, eps_ladder=[0.05, 0.8, 1.6])
     assert len(rep.ladder) == 3 and len(solves) == 1
 
-    # one instance and tilt serve both experiments of `gfflab disconnect`,
-    # with the outputs of two unshared experiments
+    # one instance, tilt and sample serve the whole of `gfflab disconnect`,
+    # with the outputs of one run of the experiment
     solves.clear()
     geometry = dict(alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
                     delta_shell=0.25, tilted_replicas=60)
@@ -216,14 +215,14 @@ def test_each_dirichlet_problem_is_solved_once(tmp_path, monkeypatch):
     assert main(["disconnect", "--config", str(path), "--out", str(out)]) == 0
     assert len(solves) == 2  # the tilt profile and h_{A_N,B_N}
 
-    def instance():
-        return _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=42)
-
-    alone = disconnection_rate_experiment(instance(), direct_replicas=60, **geometry)
+    alone = disconnection_rate_experiment(
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=42),
+        direct_replicas=60, eta_spec=bump, Delta=0.05, **geometry)
     summary = json.loads((out / "disconnect_summary.json").read_text())
-    assert summary == {k: v for k, v in alone.__dict__.items() if k != "ladder"}
-    alone = repulsion_experiment(instance(), eta_spec=bump, Delta=0.05, **geometry)
-    assert json.loads((out / "repulsion_summary.json").read_text()) == alone.__dict__
+    assert summary == {k: v for k, v in alone.__dict__.items()
+                       if k not in ("ladder", "repulsion")}
+    assert (json.loads((out / "repulsion_summary.json").read_text())
+            == alone.repulsion.__dict__)
 
 
 # -- diffusivity ----------------------------------------------------------------
@@ -298,10 +297,11 @@ def test_disconnection_small_instance_agreement():
 
 def test_repulsion_experiment_small():
     eta = {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0}
-    rep = repulsion_experiment(
+    rep = disconnection_rate_experiment(
         _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=23),
         alpha=0.35, alpha_star_ref=0.5, epsilon=0.1, delta_shell=0.25,
-        tilted_replicas=4000, eta_spec=eta, Delta=0.05)
+        direct_replicas=10, tilted_replicas=4000, eta_spec=eta,
+        Delta=0.05).repulsion
     assert rep.tilt_mean_ok
     assert rep.pairing_tilt_reference < 0  # downward push by construction
     assert rep.n_disconnected > 0
@@ -312,13 +312,69 @@ def test_repulsion_experiment_small():
 def test_repulsion_zero_test_function():
     eta = {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0,
            "amplitude": 0.0}
-    rep = repulsion_experiment(
+    rep = disconnection_rate_experiment(
         _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=24),
         alpha=0.35, alpha_star_ref=0.5, epsilon=0.1, delta_shell=0.25,
-        tilted_replicas=400, eta_spec=eta, Delta=0.05)
+        direct_replicas=10, tilted_replicas=400, eta_spec=eta,
+        Delta=0.05).repulsion
     assert rep.pairing_mean_tilted == 0.0
     assert rep.pairing_tilt_reference == 0.0
     assert rep.profile_pairing == 0.0
+
+
+def test_one_tilted_sample_serves_disconnection_and_repulsion(monkeypatch):
+    solves = []
+    plain_solve = DirichletOperator.solve
+
+    def counting_solve(self, rhs):
+        solves.append(rhs)
+        return plain_solve(self, rhs)
+
+    monkeypatch.setattr(DirichletOperator, "solve", counting_solve)
+    inst = _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=27)
+    bump = {"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0}
+    eta_tilde = eta_from_spec(bump)(inst.domain.coords / 4.0) / 4.0 ** 3
+    n = 600
+    paired = []  # (shift, pairings) of every tilted block
+    plain = homogenization.tilt_log_weights
+
+    def spy(env, U, f, samples, op=None):
+        paired.append((f, samples.T @ eta_tilde))
+        return plain(env, U, f, samples, op=op)
+
+    monkeypatch.setattr(homogenization, "tilt_log_weights", spy)
+
+    def run(Delta, delta_shell=0.0):
+        # the main epsilon is the second stream of the ladder, not the first
+        return disconnection_rate_experiment(
+            inst, alpha=0.35, alpha_star_ref=0.5, epsilon=0.05,
+            delta_shell=delta_shell, direct_replicas=10, tilted_replicas=n,
+            eps_ladder=[0.8, 0.05], eta_spec=bump, Delta=Delta)
+
+    rep = run(0.05)
+    # with delta_shell 0 the tilt profile is h_{A_N,B_N}: one solve serves both
+    assert len(solves) == 1
+    g, _ = inst.tilt_function(0.0)
+    assert rep.repulsion.profile_pairing == -(0.5 - 0.35) * float(g @ eta_tilde)
+    main_pairs = np.concatenate([p for f, p in paired
+                                 if np.array_equal(f, -(0.5 - 0.35 + 0.05) * g)])
+    assert len(main_pairs) == n
+    assert rep.repulsion.pairing_mean_tilted == float(main_pairs.mean())
+    main_point = rep.ladder[1]
+    assert main_point.epsilon == 0.05 and rep.tilted_freq == main_point.tilted_freq
+    assert rep.repulsion.n_disconnected > 0
+    assert rep.repulsion.n_disconnected / n == main_point.tilted_freq
+    assert rep.repulsion.n_disconnected != round(rep.ladder[0].tilted_freq * n)
+    assert 0 < rep.repulsion.deviation_is_estimate <= rep.is_estimate
+    # Delta 0 counts every disconnected draw as a deviation: the same weights
+    # on the same draws give the same estimate
+    rep0 = run(0.0)
+    assert rep0.repulsion.deviation_is_estimate == rep0.is_estimate == rep.is_estimate
+    assert len(solves) == 1
+    # an inflated tilt needs its own solve; the profile stays h_{A_N,B_N}
+    inflated = run(0.05, delta_shell=0.25)
+    assert len(solves) == 2
+    assert inflated.repulsion.profile_pairing == rep.repulsion.profile_pairing
 
 
 def test_importance_weights_summed_in_log_domain(monkeypatch):
