@@ -73,23 +73,25 @@ def law_from_config(config: dict) -> EnvironmentLaw:
 
 
 # Keys each command reads without a default, with their JSON types (a
-# bool is none of them). A type may carry a condition on the value:
-# "integer >= 1", "number > 0", "string in vsrw csrw". A "sec.sub" row
-# checks an optional subsection when present; a "sec+key" row applies
-# when sec has key.
+# bool is none of them). A type may carry conditions: "integer >= 1",
+# "number >= 0 and < 1", "string in vsrw csrw". A "site" is a list of
+# `dimension` integers, "list of T" a non-empty list of T's. A "sec.sub"
+# row checks an optional subsection when present; a "sec+key" row
+# applies when sec has key.
 COUNT = "integer >= 1"  # a Monte Carlo count
 REQUIRED_KEYS = {
-    "env": {"window_lo": "list", "window_hi": "list"},
-    "potential": {"A_center": "list", "A_radius": "number",
-                  "B_center": "list", "B_radius": "number"},
+    "env": {"window_lo": "site", "window_hi": "site"},
+    "potential": {"A_center": "site", "A_radius": "number",
+                  "B_center": "site", "B_radius": "number"},
     "gff": {"radius": "number", "count": COUNT},
-    "percolation": {"L_grid": "list", "alpha_grid": "list", "replicas": COUNT},
-    "percolation.connectivity": {"alpha": "number", "z_list": "list",
+    "percolation": {"L_grid": "list of integer >= 1", "alpha_grid": "list of number",
+                    "replicas": COUNT},
+    "percolation.connectivity": {"alpha": "number", "z_list": "list of site",
                                  "replicas": COUNT},
-    "percolation.classify": {"L": "integer", "K": "integer", "centers": "list",
+    "percolation.classify": {"L": "integer", "K": "integer", "centers": "list of site",
                              "gamma": "number", "delta": "number", "a": "number"},
     "solidify": {"A_radius": "number", "B_radius": "number", "offset": "number",
-                 "puncture_fractions": "list"},
+                 "puncture_fractions": "list of number >= 0 and < 1"},
     "homogenize": {"A": "object", "B": "object", "N_list": "list"},
     "homogenize.reference": {"shape": "string", "sigma2": "number"},
     # replicas >= 2: the standard error divides by replicas - 1
@@ -98,12 +100,12 @@ REQUIRED_KEYS = {
     "disconnect": {"A": "object", "M": "number", "alpha": "number",
                    "alpha_star_ref": "number", "epsilon": "number", "N": "integer >= 1",
                    "direct_replicas": COUNT, "tilted_replicas": COUNT},
-    "disconnect+eta": {"Delta": "number"},
+    "disconnect+eta": {"Delta": "number", "tilted_replicas": "integer >= 2"},
 }
 
 # Keys read with a default, type-checked when present.
 OPTIONAL_KEYS = {
-    "gff": {"center": "list"},
+    "gff": {"center": "site"},
     "percolation": {"padding": "integer >= 0"},
     "percolation.connectivity": {"padding": "integer >= 0"},
     "homogenize": {"quadrature_step": "number", "eta": "object"},
@@ -117,20 +119,34 @@ JSON_TYPES = {"integer": int, "number": (int, float), "list": list,
               "object": dict, "string": str}
 CONDITIONS = {">=": lambda v, args: v >= float(args[0]),
               ">": lambda v, args: v > float(args[0]),
+              "<": lambda v, args: v < float(args[0]),
               "in": lambda v, args: v in args}
 
 
-def _type_error(value, t: str) -> str | None:
+def _type_error(value, t: str, d: int | None = None) -> str | None:
     """Why `value` fails the type t, or None when it fits."""
-    base, *cond = t.split()
+    if t == "site" or t.startswith("list of "):
+        item = "integer" if t == "site" else t.removeprefix("list of ")
+        if why := _type_error(value, "list"):
+            return why
+        sized = len(value) == d if t == "site" else len(value) > 0
+        if sized and not any(_type_error(v, item, d) for v in value):
+            return None
+        if t == "site":
+            return f"must be a site of {d} integers"
+        base, _, cond = item.partition(" ")
+        noun = f"sites of {d} integers each" if base == "site" else f"{base}s {cond}"
+        return f"must be a non-empty list of {noun.rstrip()}"
+    base, _, cond = t.partition(" ")
     if isinstance(value, bool) or not isinstance(value, JSON_TYPES[base]):
         return f"must be of JSON type {base}"
-    if cond and not CONDITIONS[cond[0]](value, cond[1:]):
-        return f"must be {' '.join(cond)}"
+    if cond and not all(CONDITIONS[op](value, args)
+                        for op, *args in map(str.split, cond.split(" and "))):
+        return f"must be {cond}"
     return None
 
 
-def _missing_keys(name: str, sec) -> list[str]:
+def _missing_keys(name: str, sec, d) -> list[str]:
     bad = []
     for path in dict.fromkeys([*REQUIRED_KEYS, *OPTIONAL_KEYS]):
         head, _, sub = path.partition(".")
@@ -150,7 +166,7 @@ def _missing_keys(name: str, sec) -> list[str]:
                 bad.append(f"{path}: missing key(s) {', '.join(missing)}")
             bad += [f"{path}: {k} {why}"
                     for k, t in {**required, **OPTIONAL_KEYS.get(path, {})}.items()
-                    if k in part and (why := _type_error(part[k], t))]
+                    if k in part and (why := _type_error(part[k], t, d))]
     return bad
 
 
@@ -190,7 +206,7 @@ def validate(config: dict, command: str | None = None) -> list[str]:
         bad.append(f"config has no {command!r} section")
     for name in [n for n in config if command in (None, n)]:
         sec = config[name]
-        missing = _missing_keys(name, sec)
+        missing = _missing_keys(name, sec, d)
         if missing:
             bad.extend(missing)
             continue
@@ -202,17 +218,8 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 bad.append("disconnect: eps_ladder entries must be of JSON type number")
             if len(set(eps)) < len(eps):
                 bad.append("disconnect: eps_ladder must not repeat a value")
-        if name == "percolation":
-            for key, t, of in (("L_grid", "integer >= 1", "integers >= 1"),
-                               ("alpha_grid", "number", "numbers")):
-                if not sec[key] or any(_type_error(v, t) for v in sec[key]):
-                    bad.append(f"percolation: {key} must be a non-empty list of {of}")
-            zs = sec.get("connectivity", {}).get("z_list")
-            if zs is not None and (not zs or any(
-                    _type_error(z, "list") or len(z) != d
-                    or any(_type_error(v, "integer") for v in z) for z in zs)):
-                bad.append("percolation.connectivity: z_list must be a non-empty "
-                           f"list of sites of {d} integers each")
+        if name == "env" and np.any(np.less(sec["window_hi"], sec["window_lo"])):
+            bad.append("env: window_hi must be >= window_lo in every coordinate")
         if name == "homogenize":
             ladder = sec["N_list"]
             if (not ladder or any(_type_error(N, "integer >= 1") for N in ladder)
@@ -259,9 +266,8 @@ def validate(config: dict, command: str | None = None) -> list[str]:
         if name == "percolation" and "classify" in sec:
             ksec = sec["classify"]
             try:
-                BoxCollection(L=int(ksec["L"]), K=int(ksec["K"]),
-                              centers=tuple(tuple(c) for c in ksec["centers"]))
-            except (KeyError, TypeError, ValueError) as exc:
+                BoxCollection(ksec["L"], ksec["K"], tuple(map(tuple, ksec["centers"])))
+            except ValueError as exc:
                 bad.append(f"percolation.classify: {exc}")
     return bad
 
@@ -385,13 +391,11 @@ class Runner:
                       + ["connectivity", "se"], rows, self.chash)
         if "classify" in sec:
             ksec = sec["classify"]
-            L, K = int(ksec["L"]), int(ksec["K"])
-            centers = [tuple(c) for c in ksec["centers"]]
-            span = max(abs(int(v)) for c in centers for v in c) + K * L + 1
+            grid = BoxCollection(ksec["L"], ksec["K"], tuple(map(tuple, ksec["centers"])))
+            span = int(np.abs(grid.center_array()).max()) + grid.K * grid.L + 1
             dom = ball([0] * self.d, span, self.d)
             kenv = environment_for_sites(self.law, dom, self.seed, self.lam)
             self.environments["classify"] = kenv.identity()
-            grid = BoxCollection(L=L, K=K, centers=tuple(centers))
             phi = sample_gff(kenv, dom, 1, self.seed)[0]
             cls = classify_boxes(kenv, phi, grid, ksec["gamma"],
                                  ksec["delta"], ksec["a"])

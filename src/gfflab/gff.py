@@ -123,8 +123,8 @@ class BoxCollection:
     """Centers on L Z^d with derived boxes B_z in D_z in U_z.
 
     B_z = z + [0, L)^d, D_z = z + [-3L, 4L)^d,
-    U_z = z + [-KL+1, KL-1)^d; centers must be (4K+1)L-separated so the
-    local fields of distinct boxes are independent.
+    U_z = z + [-KL+1, KL-1)^d. Centers may be adjacent; `functional_Z`,
+    which needs independent local fields, asks for (4K+1)L-separation.
     """
 
     L: int
@@ -139,11 +139,6 @@ class BoxCollection:
             raise ValueError("centers must be a list of lattice points")
         if np.any(cs % self.L != 0):
             raise ValueError("centers must lie on the lattice L Z^d")
-        sep = (4 * self.K + 1) * self.L
-        for i in range(len(cs)):
-            for j in range(i + 1, len(cs)):
-                if np.abs(cs[i] - cs[j]).max() < sep:
-                    raise ValueError("collection violates the separation constraint")
 
     def center_array(self) -> np.ndarray:
         return np.asarray(self.centers, dtype=np.int64)
@@ -194,15 +189,19 @@ def functional_Z(env: Conductances, domain: SiteSet, collection: BoxCollection,
                  eta_site_values: np.ndarray | None = None,
                  beta: float = 0.0, rho: float = 0.0,
                  count: int = 0, seed: int = 0) -> ZFunctionalReport:
-    """Weighted harmonic-average functional over a separated collection.
+    """Weighted harmonic-average functional over a (4K+1)L-separated collection.
 
     Evaluates Z_m = sum_z lambda(z) xi^z_{m(z)} with lambda(z) =
     e_C(B_z)/cap(C), C the union of the B_z, its beta/rho-adjusted variant
     against a site-weighted test function, the exact (solve-based)
     variances, and, when `count` > 0, sampled values including inf_m Z_m.
     """
+    cs = collection.center_array()
+    gaps = np.abs(cs[:, None] - cs[None]).max(axis=2)[np.triu_indices(len(cs), 1)]
+    if np.any(gaps < (4 * collection.K + 1) * collection.L):
+        raise ValueError("collection violates the separation constraint")
     collection.validate_inside(domain)
-    centers = [tuple(int(v) for v in z) for z in collection.center_array()]
+    centers = [tuple(int(v) for v in z) for z in cs]
     opD = DirichletOperator(env, domain)
     C = collection.union_B(domain.d)
     hC = harmonic_potential(env, C, domain)

@@ -445,6 +445,8 @@ def disconnection_rate_experiment(inst: _DisconnectionInstance, alpha: float,
     the tilted fields of the main epsilon also give the repulsion
     statistics (`_repulsion`), with the flags and weights of the same draws.
     """
+    if eta_spec is not None and tilted_replicas < 2:  # the repulsion SE divides by n - 1
+        raise ValueError("tilted_replicas must be >= 2 with eta_spec")
     N, M, d, seed = inst.N, inst.M, inst.domain.d, inst.seed
     ladder_eps = list(eps_ladder) if eps_ladder is not None else [epsilon]
     if epsilon not in ladder_eps:

@@ -4,15 +4,14 @@ estimators, good/bad box classification, and the decoupling harness.
 Connectivity is always nearest-neighbor (|x-y|_1 = 1); diagonal sites do
 not touch. Component diameters are l-infinity diameters of the site set.
 
-One kernel, `_seed_clusters`, answers every replica-parallel level-set
-question: over a (k,)+box boolean block it returns which target sites
-lie in a cluster that touches a seed set. Crossing events, the
-two-point function and the disconnection event of `homogenization` are
-one reduction of its output each. `components()` labels a level set of
-any SiteSet on the grid of its bounding box, which serves `is_connected`
-and the box classification. Each call of either builds the
-nearest-neighbor structure for ndimage.label once, from the rank of its
-box.
+One kernel, `_seed_clusters`, answers every connectivity question:
+over a (k,)+box boolean block it returns which target sites lie in a
+cluster that touches a seed set. Crossing events, the two-point
+function, the disconnection event of `homogenization`, `is_connected`
+(one replica, on the bounding box of a SiteSet) and the wiring test of
+the box classification (one replica per D-box) are one reduction of its
+output each. `components()` labels a level set only for its cluster
+statistics, sizes and diameters, which pick the big clusters of a box.
 
 The crossing event {B(x,L) <-> the sphere |y - x|_inf = 2L} is labelled
 on ball(x, 2L) alone, although the field is drawn on the padded domain:
@@ -112,18 +111,16 @@ def components(S: LevelSet) -> ComponentLabeling:
                              dict(zip(canon.tolist(), diams)))
 
 
-def is_connected(H: SiteSet, K: SiteSet, S: LevelSet,
-                 labeling: ComponentLabeling | None = None) -> bool:
+def is_connected(H: SiteSet, K: SiteSet, S: LevelSet) -> bool:
     """True iff some cluster of S meets both H and K (path sites,
-    endpoints included, all inside S)."""
-    if labeling is None:
-        labeling = components(S)
-    lab = labeling.label
-    hi = S.domain.locate(H.coords)
-    ki = S.domain.locate(K.coords)
-    hl = set(lab[hi[hi >= 0]].tolist()) - {-1}
-    kl = set(lab[ki[ki >= 0]].tolist()) - {-1}
-    return len(hl & kl) > 0
+    endpoints included, all inside S): one `_seed_clusters` call."""
+    dom = S.domain
+    lo, hi = dom.bounding_box()
+    grid = np.zeros((1,) + tuple(hi - lo + 1), dtype=bool)
+    grid[(0,) + tuple((dom.coords[S.mask] - lo).T)] = True
+    seed, target = (tuple((X.coords[dom.contains_mask(X.coords)] - lo).T)
+                    for X in (H, K))
+    return bool(_seed_clusters(grid, seed, target).any())
 
 
 def disconnection_event(phi: FieldSample, alpha: float, A_N: SiteSet,
@@ -341,48 +338,46 @@ def _big_components(mask_sites: SiteSet, min_diam: float) -> SiteSet:
 
 def classify_boxes(env: Conductances, phi: FieldSample, grid: BoxCollection,
                    gamma: float, delta: float, a: float) -> BoxClassification:
-    """Goodness flags for every box of a (contiguous) L-grid.
+    """Goodness flags for every box of an L-grid, which may be contiguous.
 
     A box is psi-good when its gamma-level local-field set holds a
     cluster of l-infinity diameter >= L/10 and, for each grid neighbor,
     such clusters on both sides are wired together inside the D-box at
-    level delta. xi-goodness asks the harmonic average to stay above -a
-    on the D-box. Both flags are deterministic functions of the stored
-    decomposition fields.
+    level delta (one `_seed_clusters` call per box, with every
+    neighbor's clusters as targets). xi-goodness asks the harmonic
+    average to stay above -a on the D-box. Both flags are deterministic
+    functions of the stored decomposition fields.
     """
     if not delta < gamma:
         raise ValueError("levels must satisfy delta < gamma")
     U = phi.sites
     centers = [tuple(int(v) for v in z) for z in grid.center_array()]
     L = grid.L
-    psi_fields = {}
-    xi_fields = {}
+    psi_D, xi_D = {}, {}  # each box's fields on its D-box, in C order
     big = {}  # the sites of each box's big gamma-clusters
     for z in centers:
-        Vz = grid.box_U(z)
-        xi, psi = decompose_matrix(env, U, Vz, phi.values[:, None])
-        psi_fields[z] = psi[:, 0]
-        xi_fields[z] = xi[:, 0]
+        xi, psi = decompose_matrix(env, U, grid.box_U(z), phi.values[:, None])
+        d_idx = U.locate(grid.box_D(z).coords)
+        if np.any(d_idx < 0):
+            raise ValueError("insufficient padding around a D-box")
+        psi_D[z], xi_D[z] = psi[d_idx, 0], xi[d_idx, 0]
         Bz = grid.box_B(z)
-        own = SiteSet(Bz.coords[psi_fields[z][U.locate(Bz.coords)] >= gamma], U.d)
+        own = SiteSet(Bz.coords[psi[U.locate(Bz.coords), 0] >= gamma], U.d)
         big[z] = _big_components(own, L / 10.0)
     psi_good = {}
     xi_good = {}
     for z in centers:
-        Dz = grid.box_D(z)
-        d_idx = U.locate(Dz.coords)
-        if np.any(d_idx < 0):
-            raise ValueError("insufficient padding around a D-box")
-        xi_good[z] = bool(xi_fields[z][d_idx].min() > -a)
+        xi_good[z] = bool(xi_D[z].min() > -a)
+        nbs = [big[nb] for step in neighbor_steps(U.d)
+               if (nb := tuple(int(v) for v in np.add(z, L * step))) in big]
         good = not big[z].is_empty
-        if good:
-            Sdelta = LevelSet(Dz, delta, psi_fields[z][d_idx] >= delta)
-            lab = components(Sdelta)
-            neighbors = [tuple(int(v) for v in np.add(z, L * step))
-                         for step in neighbor_steps(U.d)]
-            good = all(not big[nb].is_empty
-                       and is_connected(big[z], big[nb], Sdelta, labeling=lab)
-                       for nb in neighbors if nb in big)
+        if good and nbs:
+            lo = np.subtract(z, 3 * L)  # D_z holds B_z and each neighbor's B
+            mask = (psi_D[z] >= delta).reshape((1,) + (7 * L,) * U.d)
+            targets = tuple((np.vstack([nb.coords for nb in nbs]) - lo).T)
+            hit = _seed_clusters(mask, tuple((big[z].coords - lo).T), targets)[0]
+            ends = np.cumsum([len(nb) for nb in nbs])[:-1]
+            good = all(part.any() for part in np.split(hit, ends))
         psi_good[z] = good
     return BoxClassification(centers, psi_good, xi_good, gamma, delta, a)
 

@@ -24,7 +24,11 @@ looks up the neighbors of a site set in itself by
 through `SiteSet.shifted`, which needs no packing of coordinates. The
 walk loop `potential._walk` calls no site-set lookup and no `as_coords`,
 so walkers move on flat window indices alone, with no coordinate path
-beside them.
+beside them. Only `percolation._seed_clusters` and
+`percolation.components` call `label`; `is_connected` and
+`classify_boxes` call `_seed_clusters`, and `components` has no caller
+but `_big_components`, so one kernel answers every connectivity
+question.
 
 A subprocess checks that importing the command line leaves `scipy.stats`
 and `scipy.spatial` unimported, since every run pays for its imports.
@@ -241,6 +245,28 @@ def _called_names(tree: ast.Module, function: str) -> set[str]:
             for node in ast.walk(fn)
             if isinstance(node, ast.Call)
             and isinstance(node.func, (ast.Name, ast.Attribute))}
+
+
+def _callers(name: str) -> set[str]:
+    """Module-qualified names of the functions of the package whose body
+    calls `name`, bare or as an attribute."""
+    out = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = _parse(path)
+        out |= {f"{path.stem}.{fn.name}" for fn in ast.walk(tree)
+                if isinstance(fn, ast.FunctionDef)
+                and name in _called_names(tree, fn.name)}
+    return out
+
+
+def test_one_connectivity_kernel():
+    # connectivity questions go through _seed_clusters; components()
+    # labels only for the cluster statistics that pick big clusters
+    assert _callers("label") == {"percolation._seed_clusters",
+                                 "percolation.components"}
+    assert _callers("components") == {"percolation._big_components"}
+    assert {"percolation.is_connected", "percolation.classify_boxes"} <= \
+        _callers("_seed_clusters")
 
 
 def test_the_walk_loop_steps_on_flat_indices_alone():

@@ -219,10 +219,12 @@ def test_seed_override_changes_outputs(tmp_path):
 
 
 def _adjacent_classify(cfg):
+    # a 2 x 2 grid of adjacent boxes
     cfg["law"] = {"kind": "iid_uniform", "low": 0.5, "high": 1.0}
     cfg["percolation"] = {
         "L_grid": [1], "alpha_grid": [0.0], "replicas": 8, "padding": 2,
-        "classify": {"L": 4, "K": 5, "centers": [[0, 0, 0], [4, 0, 0]],
+        "classify": {"L": 2, "K": 5,
+                     "centers": [[0, 0, 0], [2, 0, 0], [0, 2, 0], [2, 2, 0]],
                      "gamma": 0.5, "delta": 0.0, "a": 1.0},
     }
     return cfg
@@ -230,6 +232,7 @@ def _adjacent_classify(cfg):
 
 def test_validate_command_checks_every_section(tmp_path, capsys):
     cfg = _adjacent_classify(_base(tmp_path))
+    cfg["percolation"]["classify"]["centers"][-1] = [2, 1, 0]
     cfg["homogenize"] = {
         "A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 3.0},
         "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
@@ -238,14 +241,17 @@ def test_validate_command_checks_every_section(tmp_path, capsys):
     assert main(["validate", "--config", _write(tmp_path, cfg)]) == 2
     lines = capsys.readouterr().out.splitlines()
     assert any("escapes B" in s for s in lines)
-    assert any("percolation.classify" in s and "separation" in s for s in lines)
+    assert any("percolation.classify" in s and "lattice" in s for s in lines)
     assert lines[-1] == "2 issue(s)"
 
 
-def test_unseparated_classify_grid_fails_before_running(tmp_path):
+def test_adjacent_classify_grid_runs(tmp_path):
     cfg = _adjacent_classify(_base(tmp_path))
-    assert main(["percolation", "--config", _write(tmp_path, cfg)]) == 2
-    assert not (tmp_path / "run1").exists()
+    assert main(["percolation", "--config", _write(tmp_path, cfg)]) == 0
+    rows = (tmp_path / "run1" / "box_classification.csv").read_text().splitlines()
+    assert rows[1] == "z0,z1,z2,psi_good,xi_good"
+    centers = cfg["percolation"]["classify"]["centers"]
+    assert [[int(v) for v in r.split(",")[:3]] for r in rows[2:]] == centers
 
 
 def test_missing_command_section_exit_code(tmp_path):
@@ -297,6 +303,24 @@ def test_missing_required_key_exit_code(tmp_path, capsys):
                                       "replicas": 4}},
      "percolation.connectivity: z_list must be a non-empty list of sites of "
      "3 integers each"),
+    ("env", {"window_lo": ["a", 0, 0], "window_hi": [1, 1, 1]},
+     "env: window_lo must be a site of 3 integers"),
+    ("env", {"window_lo": [0, 0], "window_hi": [1, 1, 1]},
+     "env: window_lo must be a site of 3 integers"),
+    ("gff", {"radius": 1, "count": 2, "center": [0, 0]},
+     "gff: center must be a site of 3 integers"),
+    ("potential", {"A_center": [0, 0], "A_radius": 0, "B_center": [0, 0, 0],
+                   "B_radius": 1},
+     "potential: A_center must be a site of 3 integers"),
+    ("percolation", {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4,
+                     "classify": {"L": 2, "K": 5, "centers": [[0, 0]],
+                                  "gamma": 0.5, "delta": 0.0, "a": 1.0}},
+     "percolation.classify: centers must be a non-empty list of sites of "
+     "3 integers each"),
+    ("solidify", {"A_radius": 1, "B_radius": 4, "offset": 1,
+                  "puncture_fractions": ["a"]},
+     "solidify: puncture_fractions must be a non-empty list of numbers >= 0 "
+     "and < 1"),
 ])
 def test_wrong_json_type_exit_code(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
@@ -345,6 +369,16 @@ _DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
     ("disconnect", {**_DISCONNECT, "N": 0}, "disconnect: N must be >= 1"),
     ("percolation", {**_PERCOLATION, "L_grid": []},
      "percolation: L_grid must be a non-empty list of integers >= 1"),
+    ("env", {"window_lo": [0, 0, 0], "window_hi": [1, -1, 1]},
+     "env: window_hi must be >= window_lo in every coordinate"),
+    ("solidify", {"A_radius": 1, "B_radius": 4, "offset": 1,
+                  "puncture_fractions": [0.5, 1.5]},
+     "solidify: puncture_fractions must be a non-empty list of numbers >= 0 "
+     "and < 1"),
+    ("disconnect", {**_DISCONNECT, "tilted_replicas": 1, "Delta": 0.05,
+                    "eta": {"kind": "radial_bump", "center": [0, 0, 0],
+                            "radius": 1.0}},
+     "disconnect+eta: tilted_replicas must be >= 2"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)

@@ -203,11 +203,13 @@ def test_log_weight_formula(env):
 # -- box collections ----------------------------------------------------------
 
 
-def test_box_collection_validation():
+def test_box_collection_validation(env):
     with pytest.raises(ValueError):
         BoxCollection(L=2, K=4, centers=((0, 0, 0),))  # U box must hold D box
-    with pytest.raises(ValueError):
-        BoxCollection(L=2, K=5, centers=((0, 0, 0), (2, 0, 0)))  # separation
+    # adjacent boxes make a grid, but not a collection for functional_Z
+    adjacent = BoxCollection(L=2, K=5, centers=((0, 0, 0), (2, 0, 0)))
+    with pytest.raises(ValueError, match="separation constraint"):
+        functional_Z(env, box_sites([-8] * 3, [8] * 3), adjacent)
     with pytest.raises(ValueError):
         BoxCollection(L=2, K=5, centers=((1, 0, 0),))  # off-lattice center
     coll = BoxCollection(L=2, K=5, centers=((0, 0, 0),))

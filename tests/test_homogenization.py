@@ -447,3 +447,10 @@ def test_disconnection_geometry_guards():
         disconnection_rate_experiment(
             inst, alpha=0.3, alpha_star_ref=0.5, epsilon=0.1, delta_shell=5.0,
             direct_replicas=10, tilted_replicas=10)
+    # the repulsion standard errors divide by tilted_replicas - 1
+    with pytest.raises(ValueError, match="tilted_replicas must be >= 2"):
+        disconnection_rate_experiment(
+            inst, alpha=0.3, alpha_star_ref=0.5, epsilon=0.1, delta_shell=0.0,
+            direct_replicas=10, tilted_replicas=1,
+            eta_spec={"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0},
+            Delta=0.05)

@@ -420,12 +420,8 @@ def test_good_chain_implies_level_path(env):
     dom = box_sites([-24, -20, -20], [28, 20, 20])
     envd = sample_environment(LAW, dom, seed=18, lam=0.5)
     op = DirichletOperator(envd, dom)  # one factor serves the six draws
-    # adjacent chain needs unseparated boxes: build it directly instead
     centers = ((0, 0, 0), (L, 0, 0))
-    chain = BoxCollection.__new__(BoxCollection)
-    object.__setattr__(chain, "L", L)
-    object.__setattr__(chain, "K", K)
-    object.__setattr__(chain, "centers", centers)
+    chain = BoxCollection(L=L, K=K, centers=centers)
     gamma, delta, a = -0.6, -0.8, 1.5
     found = 0
     for seed in range(6):
@@ -439,15 +435,6 @@ def test_good_chain_implies_level_path(env):
             assert is_connected(chain.box_B(centers[0]),
                                 chain.box_B(centers[1]), lev)
     assert found >= 1  # the construction must actually fire
-
-
-def _chain(L, K, centers):
-    # adjacent boxes violate the separation constraint: build directly
-    chain = BoxCollection.__new__(BoxCollection)
-    object.__setattr__(chain, "L", L)
-    object.__setattr__(chain, "K", K)
-    object.__setattr__(chain, "centers", centers)
-    return chain
 
 
 def _classify_each_box_alone(env, phi, grid, gamma, delta, a):
@@ -489,7 +476,7 @@ def _classify_each_box_alone(env, phi, grid, gamma, delta, a):
 def test_classify_finds_each_box_clusters_once(monkeypatch):
     L, K = 2, 5
     centers = ((0, 0, 0), (L, 0, 0), (2 * L, 0, 0))
-    chain = _chain(L, K, centers)
+    chain = BoxCollection(L=L, K=K, centers=centers)
     dom = box_sites([-11, -11, -11], [14, 11, 11])
     envd = sample_environment(LAW, dom, seed=18, lam=0.5)
     op = DirichletOperator(envd, dom)
