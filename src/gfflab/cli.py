@@ -21,7 +21,7 @@ import numpy as np
 import scipy
 
 from . import __version__
-from .lattice import ball, box_sites, shape_from_spec
+from .lattice import as_coords, ball, box_sites, shape_from_spec
 from .environment import EnvironmentLaw, environment_for_sites, sample_environment
 from .potential import SolverError, capacity, harmonic_potential
 from .gff import BoxCollection, sample_gff
@@ -81,16 +81,17 @@ def law_from_config(config: dict) -> EnvironmentLaw:
 COUNT = "integer >= 1"  # a Monte Carlo count
 REQUIRED_KEYS = {
     "env": {"window_lo": "site", "window_hi": "site"},
-    "potential": {"A_center": "site", "A_radius": "number",
-                  "B_center": "site", "B_radius": "number"},
-    "gff": {"radius": "number", "count": COUNT},
+    "potential": {"A_center": "site", "A_radius": "number >= 0",
+                  "B_center": "site", "B_radius": "number >= 0"},
+    "gff": {"radius": "number >= 0", "count": COUNT},
     "percolation": {"L_grid": "list of integer >= 1", "alpha_grid": "list of number",
                     "replicas": COUNT},
     "percolation.connectivity": {"alpha": "number", "z_list": "list of site",
                                  "replicas": COUNT},
     "percolation.classify": {"L": "integer", "K": "integer", "centers": "list of site",
                              "gamma": "number", "delta": "number", "a": "number"},
-    "solidify": {"A_radius": "number", "B_radius": "number", "offset": "number",
+    "solidify": {"A_radius": "number >= 0", "B_radius": "number >= 0",
+                 "offset": "number >= 0",
                  "puncture_fractions": "list of number >= 0 and < 1"},
     "homogenize": {"A": "object", "B": "object", "N_list": "list"},
     "homogenize.reference": {"shape": "string", "sigma2": "number"},
@@ -220,6 +221,12 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 bad.append("disconnect: eps_ladder must not repeat a value")
         if name == "env" and np.any(np.less(sec["window_hi"], sec["window_lo"])):
             bad.append("env: window_hi must be >= window_lo in every coordinate")
+        if name == "potential":
+            # the box corners `ball` truncates to, with no site set built
+            lo, hi = (as_coords([np.add(sec[f"{X}_center"], s * sec[f"{X}_radius"])
+                                 for X in "AB"]) for s in (-1, 1))
+            if np.any(lo[0] < lo[1]) or np.any(hi[0] > hi[1]):
+                bad.append("potential: ball A escapes ball B")
         if name == "homogenize":
             ladder = sec["N_list"]
             if (not ladder or any(_type_error(N, "integer >= 1") for N in ladder)
@@ -392,8 +399,8 @@ class Runner:
         if "classify" in sec:
             ksec = sec["classify"]
             grid = BoxCollection(ksec["L"], ksec["K"], tuple(map(tuple, ksec["centers"])))
-            span = int(np.abs(grid.center_array()).max()) + grid.K * grid.L + 1
-            dom = ball([0] * self.d, span, self.d)
+            c, reach = grid.center_array(), grid.K * grid.L + 1
+            dom = box_sites(c.min(axis=0) - reach, c.max(axis=0) + reach)
             kenv = environment_for_sites(self.law, dom, self.seed, self.lam)
             self.environments["classify"] = kenv.identity()
             phi = sample_gff(kenv, dom, 1, self.seed)[0]

@@ -50,8 +50,9 @@ class SiteSet:
     always holds its own copy of the coordinates.
 
     The packing window is the bounding box padded by one site, so the
-    neighbors of members have keys too: `shifted` finds every x + s from
-    the keys of x alone, one `searchsorted` per step s.
+    neighbors of members have keys too: `neighbors` tabulates every x + s
+    from the keys of x alone, one `searchsorted` per axis. Boundaries, L_U,
+    its incidence factor and boundary fluxes all read that one table.
     """
 
     __slots__ = ("coords", "d", "_lo", "_span", "_keys")
@@ -127,19 +128,21 @@ class SiteSet:
     def contains_mask(self, pts) -> np.ndarray:
         return self.locate(pts) >= 0
 
-    def shifted(self, step) -> np.ndarray:
-        """Dense indices of x + step for every member x, -1 where absent:
-        `locate(coords + step)`, for a step in {-1, 0, 1}^d. Within the
-        padded window x + step packs to key(x) + key stride of the step."""
-        step = as_coords(step, self.d)[0]
-        if np.abs(step).max() > 1:
-            raise ValueError("shifted takes steps in {-1, 0, 1}^d")
-        if len(self) == 0:
-            return np.empty(0, dtype=np.int64)
+    def neighbors(self) -> np.ndarray:
+        """(n, 2d) dense indices of x + s for every member x and step s of
+        `neighbor_steps(d)`, in its order, -1 where absent. Within the
+        padded window x + e_a packs to key(x) + the stride of axis a, so
+        each axis takes one search; x - e_a is the reverse of that edge."""
+        n = len(self)
+        out = np.full((n, 2 * self.d), -1, dtype=np.int64)
         strides = np.cumprod(np.append(1, self._span[:0:-1]))[::-1]
-        keys = self._keys + int(step @ strides)
-        pos = np.minimum(np.searchsorted(self._keys, keys), len(self) - 1)
-        return np.where(self._keys[pos] == keys, pos, -1)
+        for a in range(self.d):
+            keys = self._keys + strides[a]
+            pos = np.minimum(np.searchsorted(self._keys, keys), n - 1)
+            hit = np.nonzero(self._keys[pos] == keys)[0]
+            out[hit, 2 * a] = pos[hit]
+            out[pos[hit], 2 * a + 1] = hit
+        return out
 
     def index_of(self, site) -> int:
         idx = int(self.locate(as_coords(site, self.d))[0])
@@ -255,10 +258,9 @@ def boundary(K: SiteSet, kind: str = "external") -> SiteSet:
     """External or internal nearest-neighbor boundary of K."""
     if K.is_empty:
         return empty_set(K.d)
-    steps = neighbor_steps(K.d)
-    outside = np.stack([K.shifted(s) < 0 for s in steps], axis=1)
+    outside = K.neighbors() < 0
     if kind == "external":
-        cand = K.coords[:, None, :] + steps[None, :, :]
+        cand = K.coords[:, None, :] + neighbor_steps(K.d)[None, :, :]
         return SiteSet(cand[outside], K.d)
     if kind == "internal":
         return SiteSet(K.coords[outside.any(axis=1)], K.d)

@@ -8,18 +8,16 @@ the inverse of the killed weighted Laplacian L_U, where
 One symmetric positive-definite solve therefore serves Green functions,
 harmonic potentials, capacities and field covariances alike.
 
-Edges are enumerated in two places, both in the step order of
+Edges are enumerated by two tables, both (n, 2d) in the step order of
 `lattice.neighbor_steps`: `Conductances.neighbor_weights` reads the 2d
-edge weights at each site in one gather (for site weights and boundary
-data; walk steps take the same offsets at flat indices,
-`neighbor_weights_at`), and `_inner_edges` lists the edges inside a
-domain from them (for L_U and its incidence factor). Which neighbor x + s
-of a site of U lies in U is read from `SiteSet.shifted(s)`, one search of
-U's own shifted keys per step, never by packing U.coords + s anew; that
-serves the inner edges, the edges leaving U (the killing rows of the
-incidence factor) and the boundary flux, which looks up data and gathers
-weights only at the sites with a neighbor outside U. Dirichlet energies
-are quadratic forms of L_U.
+edge weights at each site in one gather (walk steps take the same offsets
+at flat indices, `neighbor_weights_at`), and `SiteSet.neighbors` gives
+the dense index of each neighbor x + s in U, -1 outside U. The two tables
+side by side are L_U: `killed_laplacian` writes them into CSR row by row,
+whose columns already ascend in reversed step order. The same tables give
+the incidence factor's edges and killing rows, and the boundary flux,
+which looks up data and gathers weights only at the sites with a neighbor
+outside U. Dirichlet energies are quadratic forms of L_U.
 
 Capacities are read from the flux on A: the equilibrium measure is
 (L_B h)(x) = sum_y omega_{x,y} (h(x) - h(y)) at each x of A, taken from
@@ -99,31 +97,23 @@ class SolverError(RuntimeError):
     pass
 
 
-def _inner_edges(U: SiteSet, nw: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The edges {x, x + e_a} with both ends in U, axis by axis: dense
-    indices i of x and j of x + e_a in U, and the edge weights w, read
-    from the neighbor weights nw of U."""
-    parts = []
-    for a, step in enumerate(neighbor_steps(U.d)[::2]):
-        j = U.shifted(step)
-        i = np.nonzero(j >= 0)[0]
-        parts.append((i, j[i], nw[i, 2 * a]))
-    return tuple(np.concatenate(p) for p in zip(*parts))
-
-
 def killed_laplacian(env: Conductances, U: SiteSet) -> sp.csr_matrix:
-    """Assemble L_U (diagonal = full site weight, so leaving U kills)."""
+    """Assemble L_U (diagonal = full site weight, so leaving U kills)
+    straight into CSR from U's neighbor table: the columns of row x ascend
+    as x - e_0, ..., x - e_{d-1}, x, x + e_{d-1}, ..., x + e_0, each kept
+    when it lies in U."""
     n = len(U)
     nw = env.neighbor_weights(U.coords)
-    i, j, w = _inner_edges(U, nw)
-    data = np.concatenate([nw.sum(axis=1), -w, -w])
-    del nw  # not held through the assembly, which sets the memory peak
-    ii = np.arange(n)
-    mat = sp.coo_matrix(
-        (data, (np.concatenate([ii, i, j]), np.concatenate([ii, j, i]))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    vals = np.hstack([-nw[:, 1::2], nw.sum(axis=1)[:, None], -nw[:, -2::-2]])
+    del nw  # each table is dropped once copied: the assembly sets the memory peak
+    nb = U.neighbors()
+    cols = np.hstack([nb[:, 1::2], np.arange(n)[:, None], nb[:, -2::-2]])
+    del nb
+    keep = cols >= 0
+    data = vals[keep]
+    del vals
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return sp.csr_matrix((data, cols[keep], indptr), shape=(n, n))
 
 
 def band_pays(n: int, bw: int, count: int, factored: bool) -> bool:
@@ -152,8 +142,9 @@ class DirichletOperator:
         self.sites = U
         self.matrix = killed_laplacian(env, U)
         self.n = len(U)
-        off = self.matrix.tocoo()
-        self.bandwidth = int(np.abs(off.row - off.col).max()) if off.nnz else 0
+        # each row's last column is its farthest, L_U being symmetric
+        last = self.matrix.indices[self.matrix.indptr[1:] - 1]
+        self.bandwidth = int((last - np.arange(self.n)).max())
         self._lu = None
         self._incidence = None
         self._split = None
@@ -175,10 +166,8 @@ class DirichletOperator:
                 raise SolverError(f"band factor of {self.n} x {bw + 1} entries "
                                   f"exceeds {BAND_BYTES} bytes")
             ab = np.zeros((bw + 1, self.n), order="F")
-            coo = self.matrix.tocoo()
-            upper = coo.col >= coo.row
-            r, c, v = coo.row[upper], coo.col[upper], coo.data[upper]
-            ab[bw - (c - r), c] = v
+            up = sp.triu(self.matrix, format="coo")
+            ab[bw - (up.col - up.row), up.col] = up.data
             self._lu = cholesky_banded(ab, overwrite_ab=True, lower=False,
                                        check_finite=False)
         if not self._lu[-1].all():
@@ -255,18 +244,18 @@ class DirichletOperator:
     # -- Gaussian sampling with covariance L_U^{-1} ----------------------------
 
     def _get_incidence(self):
-        # F with F^T F = L_U: one row per edge of U, then one killing row
-        # per site with edges leaving U, the root of their total weight
+        # F with F^T F = L_U: one row per edge {x, x + e_a} of U, axis by axis,
+        # then one killing row per site with edges leaving U, root of their sum
         if self._incidence is None:
-            U = self.sites
-            nw = self.env.neighbor_weights(U.coords)
-            i, j, w = _inner_edges(U, nw)
-            leaving = np.stack([U.shifted(s) < 0 for s in neighbor_steps(U.d)],
-                               axis=1)
-            kill = (nw * leaving).sum(axis=1)
+            nb = self.sites.neighbors()
+            nw = self.env.neighbor_weights(self.sites.coords)
+            kill = (nw * (nb < 0)).sum(axis=1)
+            inner = nb[:, ::2].T >= 0  # (d, n), row-major: the edges in row order
+            i = np.broadcast_to(np.arange(self.n), inner.shape)[inner]
+            j, w = nb[:, ::2].T[inner], nw[:, ::2].T[inner]
+            del nb, nw, inner
             k_idx = np.nonzero(kill)[0]
-            m, r = len(w), np.arange(len(w))
-            s = np.sqrt(w)
+            m, r, s = len(w), np.arange(len(w)), np.sqrt(w)
             self._incidence = sp.coo_matrix(
                 (np.concatenate([s, -s, np.sqrt(kill[k_idx])]),
                  (np.concatenate([r, r, m + np.arange(len(k_idx))]),
@@ -417,8 +406,9 @@ def boundary_flux_rhs(env: Conductances, U: SiteSet, data_sites: SiteSet,
     single = values.ndim == 1
     block = values[:, None] if single else values
     rhs = np.zeros((len(U), block.shape[1]))
+    outside = U.neighbors() < 0
     for k, step in enumerate(neighbor_steps(U.d)):
-        ext = np.nonzero(U.shifted(step) < 0)[0]
+        ext = np.nonzero(outside[:, k])[0]
         j = data_sites.locate(U.coords[ext] + step)
         i = ext[j >= 0]
         if i.size:
@@ -438,10 +428,8 @@ def harmonic_extension(env: Conductances, U: SiteSet, data_sites: SiteSet,
     return as_operator(env, U, op).solve(rhs)
 
 
-def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
-                       op: DirichletOperator | None = None) -> np.ndarray:
-    """h(x) = P_x[hit A before exiting B], returned over B (1 on A); a
-    given operator's domain must be B minus A."""
+def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet) -> np.ndarray:
+    """h(x) = P_x[hit A before exiting B], returned over B (1 on A)."""
     if A.is_empty:
         raise ValueError("target set A must be non-empty")
     if not A.issubset(B):
@@ -449,11 +437,9 @@ def harmonic_potential(env: Conductances, A: SiteSet, B: SiteSet,
     h = np.zeros(len(B))
     in_A = A.contains_mask(B.coords)
     h[in_A] = 1.0
-    U = SiteSet(B.coords[~in_A], B.d) if op is None else op.sites
-    if op is not None and not np.array_equal(U.coords, B.coords[~in_A]):
-        raise ValueError("supplied operator was built for a different domain")
+    U = SiteSet(B.coords[~in_A], B.d)
     if not U.is_empty:
-        h[~in_A] = harmonic_extension(env, U, A, np.ones(len(A)), op=op)
+        h[~in_A] = harmonic_extension(env, U, A, np.ones(len(A)))
     return h
 
 

@@ -20,11 +20,14 @@ that in `homogenization.py` only `disconnection_rate_experiment` draws
 fields through `_draw_blocks` (the module-level import aside), so one
 tilted sample serves disconnection and repulsion, and that no module
 looks up the neighbors of a site set in itself by
-`X.locate(X.coords + s)` or `X.contains_mask(X.coords + s)`: those go
-through `SiteSet.shifted`, which needs no packing of coordinates. The
-walk loop `potential._walk` calls no site-set lookup and no `as_coords`,
-so walkers move on flat window indices alone, with no coordinate path
-beside them. Only `percolation._seed_clusters` and
+`X.locate(X.coords + s)` or `X.contains_mask(X.coords + s)`, nor calls a
+per-step `.shifted(`: those go through the one table
+`SiteSet.neighbors()`, which needs no packing of coordinates.
+`potential.killed_laplacian` calls neither `coo_matrix` nor `tocsr`, so
+L_U is written straight into CSR from that table. The walk loop
+`potential._walk` calls no site-set lookup, no neighbor table and no
+`as_coords`, so walkers move on flat window indices alone, with no
+coordinate path beside them. Only `percolation._seed_clusters` and
 `percolation.components` call `label`; `is_connected` and
 `classify_boxes` call `_seed_clusters`, and `components` has no caller
 but `_big_components`, so one kernel answers every connectivity
@@ -223,10 +226,22 @@ def _self_neighbor_queries(tree: ast.Module) -> list[int]:
     return out
 
 
-def test_self_neighbor_queries_go_through_shifted():
+def test_self_neighbor_queries_go_through_neighbors():
     found = {path.stem: lines for path in PACKAGE.glob("*.py")
              if (lines := _self_neighbor_queries(_parse(path)))}
     assert found == {}
+    assert not any(isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                   and node.func.attr == "shifted"
+                   for path in PACKAGE.glob("*.py") for node in ast.walk(_parse(path)))
+    assert {"lattice.boundary", "potential.killed_laplacian",
+            "potential._get_incidence", "potential.boundary_flux_rhs"} <= \
+        _callers("neighbors")
+
+
+def test_the_laplacian_is_written_straight_into_csr():
+    called = _called_names(_parse(PACKAGE / "potential.py"), "killed_laplacian")
+    assert "neighbors" in called
+    assert not called & {"coo_matrix", "tocsr"}
 
 
 def test_the_neighbor_query_scan_sees_both_forms():
@@ -272,7 +287,7 @@ def test_one_connectivity_kernel():
 def test_the_walk_loop_steps_on_flat_indices_alone():
     called = _called_names(_parse(PACKAGE / "potential.py"), "_walk")
     assert {"codes", "neighbor_weights_at", "_jump"} <= called
-    assert not called & {"locate", "contains_mask", "shifted", "as_coords"}
+    assert not called & {"locate", "contains_mask", "neighbors", "as_coords"}
 
 
 def test_the_command_line_does_not_import_scipy_stats_or_spatial():

@@ -5,6 +5,7 @@ import shutil
 import numpy as np
 import pytest
 
+from gfflab import cli
 from gfflab.cli import main, validate
 from gfflab.environment import Conductances, EnvironmentLaw
 
@@ -162,6 +163,15 @@ def test_potential_run_singleton_capacity(tmp_path):
     assert float(rows[2].split(",")[2]) == pytest.approx(6.0)
 
 
+def test_potential_nesting_reads_the_corners_ball_truncates_to(tmp_path):
+    # radius 0.5 about the origin is the one site 0, inside [0, 2]^3
+    cfg = _base(tmp_path)
+    cfg["potential"] = {**_POTENTIAL, "A_radius": 0.5, "B_center": [1, 1, 1],
+                        "B_radius": 1}
+    assert validate(cfg, "potential") == []
+    assert main(["potential", "--config", _write(tmp_path, cfg)]) == 0
+
+
 def test_gff_and_percolation_runs(tmp_path):
     cfg = _base(tmp_path)
     cfg["law"] = {"kind": "iid_uniform", "low": 0.5, "high": 1.0}
@@ -252,6 +262,23 @@ def test_adjacent_classify_grid_runs(tmp_path):
     assert rows[1] == "z0,z1,z2,psi_good,xi_good"
     centers = cfg["percolation"]["classify"]["centers"]
     assert [[int(v) for v in r.split(",")[:3]] for r in rows[2:]] == centers
+
+
+def test_classify_field_is_drawn_around_the_boxes(tmp_path, monkeypatch):
+    # a lone box far from the origin: the field's domain is the box of
+    # half-width K L + 1 around it, not a ball around the origin
+    drawn = []
+    plain = cli.sample_gff
+    monkeypatch.setattr(cli, "sample_gff",
+                        lambda env, U, *a: drawn.append(U) or plain(env, U, *a))
+    cfg = _adjacent_classify(_base(tmp_path))
+    cfg["percolation"]["classify"]["centers"] = [[200, 0, 0]]
+    assert main(["percolation", "--config", _write(tmp_path, cfg)]) == 0
+    reach = 5 * 2 + 1
+    lo, hi = drawn[-1].bounding_box()
+    assert lo.tolist() == [200 - reach, -reach, -reach]
+    assert hi.tolist() == [200 + reach, reach, reach]
+    assert len(drawn[-1]) == (2 * reach + 1) ** 3
 
 
 def test_missing_command_section_exit_code(tmp_path):
@@ -345,6 +372,9 @@ _HOMOGENIZE = {"A": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 0.
                "B": {"kind": "euclidean_ball", "center": [0, 0, 0], "radius": 2.0},
                "N_list": [2]}
 _DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
+_POTENTIAL = {"A_center": [0, 0, 0], "A_radius": 1, "B_center": [0, 0, 0],
+              "B_radius": 2}
+_SOLIDIFY = {"A_radius": 1, "B_radius": 4, "offset": 1, "puncture_fractions": [0.5]}
 
 
 @pytest.mark.parametrize("command, section, message", [
@@ -379,6 +409,15 @@ _DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
                     "eta": {"kind": "radial_bump", "center": [0, 0, 0],
                             "radius": 1.0}},
      "disconnect+eta: tilted_replicas must be >= 2"),
+    ("potential", {**_POTENTIAL, "A_radius": -1}, "potential: A_radius must be >= 0"),
+    ("potential", {**_POTENTIAL, "B_radius": -0.5}, "potential: B_radius must be >= 0"),
+    ("potential", {**_POTENTIAL, "A_radius": 3}, "potential: ball A escapes ball B"),
+    ("potential", {**_POTENTIAL, "A_center": [2, 0, 0]},
+     "potential: ball A escapes ball B"),
+    ("gff", {"radius": -1, "count": 2}, "gff: radius must be >= 0"),
+    ("solidify", {**_SOLIDIFY, "A_radius": -1}, "solidify: A_radius must be >= 0"),
+    ("solidify", {**_SOLIDIFY, "B_radius": -4}, "solidify: B_radius must be >= 0"),
+    ("solidify", {**_SOLIDIFY, "offset": -1}, "solidify: offset must be >= 0"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)

@@ -131,19 +131,12 @@ def test_ordered_input_is_kept_without_a_sort(order, monkeypatch):
 @example([])
 @example([(2, -1, 0)])
 @settings(max_examples=40, deadline=None)
-def test_shifted_is_locate_of_the_shifted_coords(sites):
+def test_neighbors_is_locate_of_the_shifted_coords(sites):
     s = SiteSet(np.array(sites, dtype=np.int64).reshape(-1, 3), d=3)
-    for step in neighbor_steps(3):
-        got = s.shifted(step)
-        assert got.dtype == np.int64
-        assert np.array_equal(got, s.locate(s.coords + step))
-
-
-def test_shifted_takes_unit_steps_only():
-    s = ball([0, 0, 0], 1)
-    assert np.array_equal(s.shifted([1, -1, 1]), s.locate(s.coords + [1, -1, 1]))
-    with pytest.raises(ValueError):
-        s.shifted([2, 0, 0])
+    table = s.neighbors()
+    assert table.dtype == np.int64 and table.shape == (len(s), 6)
+    for k, step in enumerate(neighbor_steps(3)):
+        assert np.array_equal(table[:, k], s.locate(s.coords + step))
 
 
 def test_serialization_round_trip(tmp_path):

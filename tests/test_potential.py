@@ -780,6 +780,76 @@ def test_incidence_factor_identity(env):
     assert np.abs((F.T @ F - op.matrix).toarray()).max() < 1e-12
 
 
+def _table_domain(env, name):
+    """(environment, domain) pairs whose neighbor tables differ in shape:
+    no edges, edges on one axis only, holes, and a full box."""
+    if name == "thin_rows":
+        return _thin_rows(300)
+    holed = ball([0, 0, 0], 4)
+    return env, {
+        "box": ball([0, 0, 0], 3),
+        "ball_with_holes": SiteSet(
+            holed.coords[stream(32, "holes").random(len(holed)) < 0.7]),
+        "single_site": SiteSet([[1, 0, 0]]),
+        "isolated_sites": SiteSet([[0, 0, 0], [2, 0, 0], [0, 3, 1]]),
+    }[name]
+
+
+def _edge_list(env, U):
+    """The edges {x, x + e_a} inside U, axis by axis, found by `locate`,
+    with their weights, and the neighbor weights of U."""
+    nw = env.neighbor_weights(U.coords)
+    parts = []
+    for a, step in enumerate(neighbor_steps(U.d)[::2]):
+        j = U.locate(U.coords + step)
+        i = np.nonzero(j >= 0)[0]
+        parts.append((i, j[i], nw[i, 2 * a]))
+    return (*(np.concatenate(p) for p in zip(*parts)), nw)
+
+
+def _same_csr(a, b):
+    return all(x.dtype == y.dtype and x.tobytes() == y.tobytes()
+               for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                            (a.data, b.data)))
+
+
+TABLE_DOMAINS = ["box", "ball_with_holes", "thin_rows", "single_site",
+                 "isolated_sites"]
+
+
+@pytest.mark.parametrize("name", TABLE_DOMAINS)
+def test_killed_laplacian_equals_its_coo_assembly(env, name):
+    env, U = _table_domain(env, name)
+    i, j, w, nw = _edge_list(env, U)
+    n, ii = len(U), np.arange(len(U))
+    ref = sp.coo_matrix((np.concatenate([nw.sum(axis=1), -w, -w]),
+                         (np.concatenate([ii, i, j]), np.concatenate([ii, j, i]))),
+                        shape=(n, n)).tocsr()
+    L = killed_laplacian(env, U)
+    assert _same_csr(L, ref)
+    op = DirichletOperator(env, U)
+    off = ref.tocoo()
+    assert op.bandwidth == int(np.abs(off.row - off.col).max())
+
+
+@pytest.mark.parametrize("name", TABLE_DOMAINS)
+def test_incidence_factor_equals_its_reference(env, name):
+    # same rows in the same order, so a seeded draw reads the same normals
+    env, U = _table_domain(env, name)
+    i, j, w, nw = _edge_list(env, U)
+    steps = neighbor_steps(U.d)
+    leaving = U.locate((U.coords[:, None, :] + steps).reshape(-1, U.d)) < 0
+    kill = (nw * leaving.reshape(len(U), -1)).sum(axis=1)
+    k_idx = np.nonzero(kill)[0]
+    m, r, s = len(w), np.arange(len(w)), np.sqrt(w)
+    ref = sp.coo_matrix(
+        (np.concatenate([s, -s, np.sqrt(kill[k_idx])]),
+         (np.concatenate([r, r, m + np.arange(len(k_idx))]),
+          np.concatenate([i, j, k_idx]))),
+        shape=(m + len(k_idx), len(U))).tocsr()
+    assert _same_csr(DirichletOperator(env, U)._get_incidence(), ref)
+
+
 def test_vector_text_dump_round_trip(env, tmp_path):
     from gfflab.potential import dump_vector, load_vector
     U = ball([0, 0, 0], 1)
