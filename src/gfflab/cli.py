@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import sys
 import time
 from pathlib import Path
@@ -227,6 +228,14 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                                  for X in "AB"]) for s in (-1, 1))
             if np.any(lo[0] < lo[1]) or np.any(hi[0] > hi[1]):
                 bad.append("potential: ball A escapes ball B")
+        if name == "solidify":
+            # the checked sites lie at floor(A) + floor(offset) + 1, their
+            # hitting windows reach floor(max(2 offset, 2)) - 1 further, and
+            # the environment ends at floor(B) + 1
+            reach = (math.floor(sec["A_radius"]) + math.floor(sec["offset"])
+                     + math.floor(max(2 * sec["offset"], 2)))
+            if reach > math.floor(sec["B_radius"]) + 1:
+                bad.append("solidify: the hitting windows around A escape ball B")
         if name == "homogenize":
             ladder = sec["N_list"]
             if (not ladder or any(_type_error(N, "integer >= 1") for N in ladder)

@@ -10,7 +10,9 @@ cluster that touches a seed set. Crossing events, the two-point
 function, the disconnection event of `homogenization`, `is_connected`
 (one replica, on the bounding box of a SiteSet) and the wiring test of
 the box classification (one replica per D-box) are one reduction of its
-output each. `components()` labels a level set only for its cluster
+output each. It labels the replicas of a block in cache-sized slices,
+one `ndimage.label` call per slice, over a structure whose replica axis
+couples nothing. `components()` labels a level set only for its cluster
 statistics, sizes and diameters, which pick the big clusters of a box.
 
 The crossing event {B(x,L) <-> the sphere |y - x|_inf = 2L} is labelled
@@ -136,20 +138,34 @@ def disconnection_event(phi: FieldSample, alpha: float, A_N: SiteSet,
 # Replica-parallel level-set connectivity kernel
 
 
+# Sites per `ndimage.label` call: a slice of replicas this large keeps its
+# int32 labels cache-sized (256 KB). Labelling a whole block in one call
+# costs more time and memory than labelling it replica by replica.
+LABEL_SITES = 1 << 16
+
+
 def _seed_clusters(mask: np.ndarray, seed, target) -> np.ndarray:
     """(k, len(target)) bool over a (k,)+box boolean block: whether each
     target site's nearest-neighbor cluster, within its own replica,
     contains a seed site. `seed` and `target` are index tuples into one
-    replica's box; only the target sites are read back from the labels."""
-    cross = ndimage.generate_binary_structure(mask.ndim - 1, 1)
-    flat = np.ravel_multi_index(target, mask.shape[1:])
-    out = np.empty((mask.shape[0], flat.size), dtype=bool)
-    for j in range(mask.shape[0]):
-        labels, n = ndimage.label(mask[j], cross)
+    replica's box; only the target sites are read back from the labels.
+
+    Replicas are labelled in slices of max(1, LABEL_SITES // box sites),
+    one call per slice, with a structure that couples no two replicas."""
+    box = mask.shape[1:]
+    struct = np.zeros((3,) + (3,) * len(box), dtype=bool)
+    struct[1] = ndimage.generate_binary_structure(len(box), 1)
+    s_idx = np.ravel_multi_index(seed, box)
+    t_idx = np.ravel_multi_index(target, box)
+    per = max(1, LABEL_SITES // math.prod(box))
+    out = np.empty((mask.shape[0], t_idx.size), dtype=bool)
+    for j in range(0, mask.shape[0], per):
+        labels, n = ndimage.label(mask[j:j + per], struct)
+        flat = labels.reshape(labels.shape[0], -1)
         touch = np.zeros(n + 1, dtype=bool)
-        touch[labels[seed]] = True
+        touch[flat[:, s_idx]] = True
         touch[0] = False
-        out[j] = touch[labels.ravel()[flat]]
+        out[j:j + per] = touch[flat[:, t_idx]]
     return out
 
 
@@ -216,6 +232,12 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
     decreases across all tested L; that value is an estimator tied to
     this grid, never a certified constant.
 
+    The event is decreasing in alpha, field by field: {field >= a} only
+    shrinks as a grows. So a replica's outcome over the sorted grid is
+    the number of levels it crosses, found by bisection, all replicas of
+    a block together: at most ceil(log2(m + 1)) labellings per field for
+    m levels, and the counts equal those of labelling every level.
+
     The field is drawn on ball(x, 2L + padding), but only its rows on
     ball(x, 2L) are labelled. That is the same event, replica by replica:
     a nearest-neighbor path changes |y - x|_inf by at most 1 per step, so
@@ -226,6 +248,8 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
     sweep = np.ndim(alpha) > 0 or np.ndim(L) > 0
     alphas = np.atleast_1d(np.asarray(alpha, dtype=np.float64))
     Ls = np.atleast_1d(np.asarray(L, dtype=np.int64))
+    order = np.argsort(alphas, kind="stable")
+    sa = alphas[order]
     x = as_coords(x, env.d)[0]
     results: list[CrossingEstimate] = []
     for Lv in Ls:
@@ -242,8 +266,17 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         hits = np.zeros(len(alphas), dtype=np.int64)
         for _, block in _draw_blocks(op, [(stream(seed, "crossing", Lv), replicas)], 256):
             field = block[rows].T.reshape((block.shape[1],) + shape)
-            for ia, av in enumerate(alphas):
-                hits[ia] += _seed_clusters(field >= av, inner, target).any(axis=1).sum()
+            # bisection: each replica crosses sa[:lo] and none of sa[hi:]
+            lo = np.zeros(len(field), dtype=np.int64)
+            hi = np.full(len(field), len(sa))
+            while (live := np.nonzero(lo < hi)[0]).size:
+                mid = (lo[live] + hi[live] + 1) // 2
+                level = sa[mid - 1].reshape((-1,) + (1,) * env.d)
+                crossed = _seed_clusters(field[live] >= level, inner,
+                                         target).any(axis=1)
+                lo[live] = np.where(crossed, mid, lo[live])
+                hi[live] = np.where(crossed, hi[live], mid - 1)
+            hits[order] += (lo[:, None] > np.arange(len(sa))).sum(axis=0)
         for ia, av in enumerate(alphas):
             p = hits[ia] / replicas
             results.append(CrossingEstimate(float(av), Lv, float(p),
@@ -253,11 +286,12 @@ def crossing_probability(env: Conductances, alpha, L, x, replicas: int,
         return results[0]
     est = None
     if len(Ls) >= 2:
-        for av in alphas:
-            vals = [r.estimate for r in results if r.alpha == av]
-            vals = [v for _, v in sorted(zip(Ls, vals))]
+        for ia in order:
+            # results run L by L, each over the whole grid
+            vals = [results[il * len(alphas) + ia].estimate
+                    for il in np.argsort(Ls, kind="stable")]
             if all(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
-                est = float(av)
+                est = float(alphas[ia])
                 break
     return CrossingSweep(results, [float(a) for a in alphas],
                          [int(v) for v in Ls], est)

@@ -280,8 +280,9 @@ def test_one_connectivity_kernel():
     assert _callers("label") == {"percolation._seed_clusters",
                                  "percolation.components"}
     assert _callers("components") == {"percolation._big_components"}
-    assert {"percolation.is_connected", "percolation.classify_boxes"} <= \
-        _callers("_seed_clusters")
+    assert {"percolation.is_connected", "percolation.classify_boxes",
+            "percolation.crossing_probability",
+            "percolation.connectivity_function"} <= _callers("_seed_clusters")
 
 
 def test_the_walk_loop_steps_on_flat_indices_alone():

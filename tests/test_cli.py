@@ -375,6 +375,7 @@ _DIFFUSIVITY = {"t_horizon": 1.0, "replicas": 4, "mode": "vsrw"}
 _POTENTIAL = {"A_center": [0, 0, 0], "A_radius": 1, "B_center": [0, 0, 0],
               "B_radius": 2}
 _SOLIDIFY = {"A_radius": 1, "B_radius": 4, "offset": 1, "puncture_fractions": [0.5]}
+_SOLIDIFY_ESCAPES = "solidify: the hitting windows around A escape ball B"
 
 
 @pytest.mark.parametrize("command, section, message", [
@@ -418,9 +419,28 @@ _SOLIDIFY = {"A_radius": 1, "B_radius": 4, "offset": 1, "puncture_fractions": [0
     ("solidify", {**_SOLIDIFY, "A_radius": -1}, "solidify: A_radius must be >= 0"),
     ("solidify", {**_SOLIDIFY, "B_radius": -4}, "solidify: B_radius must be >= 0"),
     ("solidify", {**_SOLIDIFY, "offset": -1}, "solidify: offset must be >= 0"),
+    ("solidify", {**_SOLIDIFY, "A_radius": 3, "B_radius": 2}, _SOLIDIFY_ESCAPES),
+    ("solidify", {**_SOLIDIFY, "A_radius": 2, "offset": 1.5, "B_radius": 4},
+     _SOLIDIFY_ESCAPES),
+    ("solidify", {**_SOLIDIFY, "A_radius": 0, "offset": 0, "B_radius": 0},
+     _SOLIDIFY_ESCAPES),
+    ("solidify", {**_SOLIDIFY, "A_radius": 1, "offset": 2, "B_radius": 5},
+     _SOLIDIFY_ESCAPES),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
+
+
+@pytest.mark.parametrize("A_radius, offset, B_radius", [(1.5, 1, 3), (2, 1.5, 5)])
+def test_solidify_at_the_nesting_bound_runs(tmp_path, A_radius, offset, B_radius):
+    # floor(A) + floor(offset) + floor(max(2 offset, 2)) == floor(B) + 1
+    cfg = _base(tmp_path)
+    cfg["solidify"] = {**_SOLIDIFY, "A_radius": A_radius, "offset": offset,
+                       "B_radius": B_radius}
+    path = _write(tmp_path, cfg)
+    assert main(["validate", "--config", path]) == 0
+    assert main(["solidify", "--config", path]) == 0
+    assert (tmp_path / "run1" / "solidify.csv").exists()
 
 
 @pytest.mark.parametrize("law, message", [

@@ -171,9 +171,11 @@ def _bfs_clusters(sites):
     return clusters
 
 
-def test_connectivity_kernels_match_bfs_oracle():
+def test_connectivity_kernels_match_bfs_oracle(monkeypatch):
     rng = np.random.default_rng(2024)
     shape = (6, 5, 7)
+    # 7 replicas labelled 3 per call: the last slice is partial
+    monkeypatch.setattr(percolation, "LABEL_SITES", 3 * 6 * 5 * 7)
     box = [tuple(int(v) for v in x) for x in np.ndindex(*shape)]
     # non-box domain: the box with holes, plus sites that touch it only
     # diagonally or sit apart
@@ -182,13 +184,13 @@ def test_connectivity_kernels_match_bfs_oracle():
     dom = SiteSet(keep + extra)
     for alpha in (-0.6, 0.0, 0.3, 0.8):
         # replica-parallel kernel on a full box
-        mask = rng.standard_normal((4,) + shape) >= alpha
+        mask = rng.standard_normal((7,) + shape) >= alpha
         seed = tuple(rng.integers(0, n, 3) for n in shape)
         every = tuple(np.indices(shape).reshape(3, -1))
         cl = _seed_clusters(mask, seed, every).reshape(mask.shape)
         some = tuple(a[::3] for a in every)
         assert np.array_equal(_seed_clusters(mask, seed, some),
-                              cl.reshape(4, -1)[:, ::3])
+                              cl.reshape(7, -1)[:, ::3])
         seeds = set(zip(*(s.tolist() for s in seed)))
         for j in range(mask.shape[0]):
             want = np.zeros(shape, dtype=bool)
@@ -216,6 +218,35 @@ def test_connectivity_kernels_match_bfs_oracle():
             hl = set(want_label[dom.locate(H.coords)].tolist()) - {-1}
             kl = set(want_label[dom.locate(K.coords)].tolist()) - {-1}
             assert is_connected(H, K, S) == bool(hl & kl)
+
+
+@pytest.mark.parametrize("sites, calls", [(1, 7), (6 * 5 * 7 + 1, 7),
+                                           (3 * 6 * 5 * 7, 3), (7 * 6 * 5 * 7, 1)])
+def test_seed_clusters_does_not_depend_on_the_slice(monkeypatch, sites, calls):
+    rng = np.random.default_rng(77)
+    shape = (6, 5, 7)
+    mask = rng.standard_normal((7,) + shape) >= 0.1
+    seed = tuple(rng.integers(0, n, 4) for n in shape)
+    target = tuple(rng.integers(0, n, 40) for n in shape)
+    # reference: each replica labelled alone
+    cross = ndimage.generate_binary_structure(3, 1)
+    want = np.empty((7, 40), dtype=bool)
+    for j in range(7):
+        labels, _ = ndimage.label(mask[j], cross)
+        hit = set(labels[seed].tolist()) - {0}
+        want[j] = np.isin(labels[target], list(hit))
+    real, sliced = ndimage.label, []
+
+    def spy(block, structure):
+        sliced.append(len(block))
+        return real(block, structure)
+
+    monkeypatch.setattr(percolation, "LABEL_SITES", sites)
+    monkeypatch.setattr(ndimage, "label", spy)
+    got = _seed_clusters(mask, seed, target)
+    assert got.shape == (7, 40) and np.array_equal(got, want)
+    assert len(sliced) == calls and sum(sliced) == 7
+    assert 0 < want.sum() < want.size
 
 
 def test_disconnection_event_cases():
@@ -270,6 +301,64 @@ def test_crossing_sweep_ties_are_not_a_decrease(env):
     sweep = crossing_probability(env, [-50.0, 50.0], [1, 2], [0, 0, 0], 50, seed=1)
     assert [r.estimate for r in sweep.estimates] == [1.0, 0.0, 1.0, 0.0]
     assert sweep.alpha_double_star_estimate is None
+
+
+def test_crossing_sweep_bisects_and_counts_like_a_per_level_loop(env, monkeypatch):
+    # an unsorted grid with a repeated level; m = 6 levels need at most
+    # ceil(log2(7)) = 3 labellings per replica
+    alphas = [0.9, -50.0, 0.6, 0.6, 50.0, 0.0]
+    x, replicas, seed = [0, 0, 0], 300, 13
+    blocks, real_draw, real_kernel = [], percolation._draw_blocks, _seed_clusters
+
+    def draw_spy(op, streams, chunk):
+        for i, block in real_draw(op, streams, chunk):
+            blocks.append([block.shape[1], 0])
+            yield i, block
+
+    def kernel_spy(mask, seed_sites, target):
+        blocks[-1][1] += len(mask)
+        return real_kernel(mask, seed_sites, target)
+
+    monkeypatch.setattr(percolation, "_draw_blocks", draw_spy)
+    monkeypatch.setattr(percolation, "_seed_clusters", kernel_spy)
+    sweep = crossing_probability(env, alphas, [1, 2], x, replicas, seed)
+    monkeypatch.undo()
+    assert [k for k, _ in blocks] == [256, 44, 256, 44]
+    assert all(k <= labelled <= 3 * k for k, labelled in blocks)
+    cross = ndimage.generate_binary_structure(3, 1)
+    for L in (1, 2):
+        # per-level oracle on the same draws: every replica, every level
+        domain = ball(x, 2 * L + 4)
+        op = DirichletOperator(env, domain)
+        rng = stream(seed, "crossing", L)
+        rows = domain.locate(ball(x, 2 * L).coords)
+        lo = np.subtract(x, 2 * L)
+        inner = tuple((ball(x, L).coords - lo).T)
+        outer = tuple((linf_sphere(2 * L, 3, center=x).coords - lo).T)
+        hits = np.zeros(len(alphas), dtype=np.int64)
+        for done in range(0, replicas, 256):
+            block = sample_matrix(env, domain, min(256, replicas - done), rng, op=op)
+            for col in block[rows].T:
+                box = col.reshape((4 * L + 1,) * 3)
+                for ia, av in enumerate(alphas):
+                    labels, _ = ndimage.label(box >= av, cross)
+                    hits[ia] += bool((set(labels[inner].tolist()) - {0})
+                                     & set(labels[outer].tolist()))
+        got = [r.estimate for r in sweep.estimates if r.L == L]
+        assert got == (hits / replicas).tolist()
+        assert [r.alpha for r in sweep.estimates if r.L == L] == alphas
+        assert hits[1] == replicas and hits[4] == 0 and hits[2] == hits[3]
+        assert 0 < hits[0] < hits[2] < replicas
+
+
+def test_crossing_sweep_estimate_is_the_smallest_qualifying_level(env):
+    # at this seed 0.3 does not decrease across L while 1.1 and 1.3 do;
+    # an unsorted grid with a repeated level reports what the sorted one does
+    for grid in ([0.3, 1.1, 1.3], [1.3, 1.1, 1.1, 0.3]):
+        sweep = crossing_probability(env, grid, [2, 1], [0, 0, 0], 300, seed=4)
+        p = {(r.alpha, r.L): r.estimate for r in sweep.estimates}
+        assert p[0.3, 2] >= p[0.3, 1] and p[1.3, 2] < p[1.3, 1]
+        assert sweep.alpha_double_star_estimate == 1.1
 
 
 def test_crossing_padding_guard(env):
