@@ -176,7 +176,8 @@ def validate(config: dict, command: str | None = None) -> list[str]:
     """Schema and cross-field diagnostics; never runs a solver.
 
     Checks the section of `command`, which must be present, or every
-    section the config contains when `command` is None."""
+    section the config contains when `command` is None. A top-level key
+    that is neither a setting nor a command's section is an issue."""
     bad: list[str] = []
     d = config.get("dimension")
     if not isinstance(d, int) or d < 3:
@@ -206,6 +207,8 @@ def validate(config: dict, command: str | None = None) -> list[str]:
             bad.append(f"law: {exc}")
     if command is not None and command not in config:
         bad.append(f"config has no {command!r} section")
+    known = {"dimension", "lambda", "master_seed", "tolerances", "law", "out", *COMMANDS}
+    bad += [f"unknown section {k!r}" for k in config if k not in known]
     for name in [n for n in config if command in (None, n)]:
         sec = config[name]
         missing = _missing_keys(name, sec, d)
@@ -267,18 +270,9 @@ def validate(config: dict, command: str | None = None) -> list[str]:
             if name == "disconnect":
                 if max(abs(float(v)) for v in np.concatenate([loA, hiA])) >= sec["M"]:
                     bad.append("disconnect: A must sit strictly inside the M-box")
-        if name == "scales":
-            from .interfaces import scale_system
-            try:
-                sy = scale_system(sec["I"], sec["J"], sec["ell_star"],
-                                  L=sec.get("L"), d=d or 3)
-                if not sy.compatible:
-                    bad.append(
-                        "scales: ell_star is not (I,J,L)-compatible: "
-                        f"ell0 - (I+1)(J+1)L = {sy.ell0 - (sy.I + 1) * (sy.J + 1) * sy.L}"
-                        f" must exceed ell_min = {sy.ell_min_value}")
-            except (KeyError, TypeError, ValueError) as exc:
-                bad.append(f"scales: {exc}")
+        # each L redraws the same crossing fields, so a repeat writes its rows twice
+        if name == "percolation" and len(set(sec["L_grid"])) < len(sec["L_grid"]):
+            bad.append("percolation: L_grid must not repeat a value")
         if name == "percolation" and "classify" in sec:
             ksec = sec["classify"]
             try:

@@ -33,15 +33,6 @@ class FieldSample:
     values: np.ndarray
 
 
-@dataclass
-class Decomposition:
-    """phi = xi + psi with psi the local field of the subdomain."""
-
-    subdomain: SiteSet
-    xi: np.ndarray
-    psi: np.ndarray
-
-
 def sample_matrix(env: Conductances, U: SiteSet, count: int,
                   rng: np.random.Generator,
                   op: DirichletOperator | None = None) -> np.ndarray:
@@ -55,17 +46,6 @@ def sample_gff(env: Conductances, U: SiteSet, count: int, seed: int,
     rng = stream(seed, "gff")
     mat = sample_matrix(env, U, count, rng, op=op)
     return [FieldSample(U, mat[:, j].copy()) for j in range(count)]
-
-
-def decompose(phi: FieldSample, env: Conductances, Uprime: SiteSet) -> Decomposition:
-    """Split phi into its harmonic average and local field over Uprime.
-
-    xi solves the Dirichlet problem on Uprime with boundary data phi;
-    psi = phi - xi vanishes off Uprime. Requires the external boundary
-    of Uprime to stay inside the sample domain.
-    """
-    xi, psi = decompose_matrix(env, phi.sites, Uprime, phi.values)
-    return Decomposition(Uprime, xi, psi)
 
 
 def decompose_matrix(env: Conductances, U: SiteSet, Uprime: SiteSet,
@@ -96,22 +76,6 @@ def tilt_log_weights(env: Conductances, U: SiteSet, f: np.ndarray,
     Lf = opU.matrix @ np.asarray(f, dtype=np.float64)
     quad = 0.5 * float(np.asarray(f) @ Lf)
     return -(samples.T @ Lf) + quad
-
-
-def tilted_sample(env: Conductances, U: SiteSet, f: np.ndarray, count: int,
-                  seed: int, op: DirichletOperator | None = None
-                  ) -> list[tuple[FieldSample, float]]:
-    """Samples of phi + f with exact importance log-weights."""
-    f = np.asarray(f, dtype=np.float64)
-    if f.shape[0] != len(U):
-        raise ValueError("tilt function must align with the domain")
-    opU = as_operator(env, U, op)
-    rng = stream(seed, "gff-tilted")
-    base = sample_matrix(env, U, count, rng, op=opU)
-    shifted = base + f[:, None]
-    logw = tilt_log_weights(env, U, f, shifted, op=opU)
-    return [(FieldSample(U, shifted[:, j].copy()), float(logw[j]))
-            for j in range(count)]
 
 
 # ---------------------------------------------------------------------------

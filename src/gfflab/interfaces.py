@@ -1,11 +1,10 @@
-"""Local density functions, segmentations, porous interfaces, resonance
-sets, and the capacity diagnostics that make interfaces "solid".
+"""Local density functions, porous interfaces, and the capacity
+diagnostics that make interfaces "solid".
 
-A segmentation U_0 surrounds a set A when the local density of its
-complement U_1 stays below 1/2 around A at all inspected dyadic scales.
-A porous interface is any bounded set that a walk started on the
-segmentation boundary hits with probability at least chi before moving
-epsilon away.
+The local density of a set U_1 at a site is its share of a dyadic ball
+around the site. A porous interface is any bounded set that a walk
+started on the boundary of a segmentation U_0 hits with probability at
+least chi before moving epsilon away.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from .streams import stream
 class DensityProfile:
     """Cached local densities of a set (or predicate) U_1.
 
-    sigma_l(x) = |B(x, 2^l) cap U_1| / |B(x, 2^l)|; the widened variant
-    uses radius 4 * 2^l. U_1 may be a SiteSet or a vectorized predicate
-    over (n, d) integer points (used for half-spaces and complements).
+    sigma_l(x) = |B(x, 2^l) cap U_1| / |B(x, 2^l)|. U_1 may be a SiteSet
+    or a vectorized predicate over (n, d) integer points (used for
+    half-spaces and complements).
     """
 
     def __init__(self, U1, d: int | None = None):
@@ -50,12 +49,11 @@ class DensityProfile:
             self._member = U1
         self._cache: dict = {}
 
-    def density(self, x, level: int, widened: bool = False) -> float:
+    def density(self, x, level: int) -> float:
         x = tuple(int(v) for v in as_coords(x, self.d)[0])
-        key = (x, int(level), bool(widened))
+        key = (x, int(level))
         if key not in self._cache:
-            r = (4 if widened else 1) * 2 ** int(level)
-            B = ball(np.asarray(x), r, self.d)
+            B = ball(np.asarray(x), 2 ** int(level), self.d)
             count = int(np.count_nonzero(self._member(B.coords)))
             self._cache[key] = count / len(B)
         return self._cache[key]
@@ -126,29 +124,6 @@ def density_dichotomy_holds(sigma_values: np.ndarray, delta: float) -> bool:
     return bool(clause_i or clause_ii)
 
 
-@dataclass
-class SegmentationCheck:
-    ok: bool
-    worst_site: tuple | None
-    worst_level: int | None
-    worst_value: float
-
-
-def check_segmentation(U0: SiteSet, A: SiteSet, ell_star: int) -> SegmentationCheck:
-    """Is A 'well inside' U0: density of the complement <= 1/2 around
-    every site of A at every scale up to ell_star? Reports the worst
-    offender either way."""
-    prof = complement_profile(U0)
-    worst = (-1.0, None, None)
-    for x in A:
-        for level in range(0, int(ell_star) + 1):
-            val = prof.density(x, level)
-            if val > worst[0]:
-                worst = (val, x, level)
-    ok = worst[0] <= 0.5
-    return SegmentationCheck(ok, worst[1], worst[2], worst[0])
-
-
 # ---------------------------------------------------------------------------
 # Porous interfaces
 
@@ -159,37 +134,10 @@ class PorousInterface:
     Sigma: SiteSet
     epsilon: int
     chi: float
-    ell_star: int = 0
 
     @property
     def S(self) -> SiteSet:
         return boundary(self.U0, "external")
-
-    def to_text(self, path, provenance: str = "") -> None:
-        """Header JSON line, then the segmentation and interface sites."""
-        import json
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({
-                "d": self.U0.d, "epsilon": int(self.epsilon),
-                "chi": float(self.chi), "ell_star": int(self.ell_star),
-                "n_U0": len(self.U0), "n_Sigma": len(self.Sigma),
-                "provenance": provenance,
-            }) + "\n")
-            for part in (self.U0, self.Sigma):
-                for row in part.coords:
-                    fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-    @classmethod
-    def from_text(cls, path) -> "PorousInterface":
-        import json
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            rows = [line.split() for line in fh if line.strip()]
-        coords = np.array(rows, dtype=np.int64)
-        n0 = header["n_U0"]
-        return cls(SiteSet(coords[:n0], d=header["d"]),
-                   SiteSet(coords[n0:], d=header["d"]),
-                   header["epsilon"], header["chi"], header["ell_star"])
 
 
 @dataclass
@@ -275,92 +223,6 @@ def nested_punctured_interfaces(A_N: SiteSet, offset: int, fractions,
         out.append(PorousInterface(base.U0, SiteSet(shell.coords[keep], A_N.d),
                                    base.epsilon, 0.0))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Dyadic scale systems and the resonance set
-
-
-def ell_min(delta: float) -> int:
-    """Resolution floor for density arguments at accuracy delta.
-
-    The heat-kernel part of the true threshold is non-constructive; a
-    fixed floor of 5 stands in for it and is surfaced in reports.
-    """
-    if delta <= 0:
-        raise ValueError("delta must be positive")
-    return max(5, int(math.ceil(math.log2(8.0 / delta))))
-
-
-def separation_scale(J: int, d: int) -> int:
-    """L(J): smallest L >= 5 with d 2^(d-1) 2^(-L) <= 1/(200 J)."""
-    c0 = d * 2 ** (d - 1)
-    L = 5
-    while c0 * 2.0 ** (-L) > 1.0 / (200 * J):
-        L += 1
-    return L
-
-
-def alpha_tilde(d: int) -> float:
-    """Non-degeneracy margin for widened densities, (1/3) 4^(-d)."""
-    return (1.0 / 3.0) * 4.0 ** (-d)
-
-
-@dataclass
-class ScaleSystem:
-    I: int
-    J: int
-    L: int
-    ell_star: int
-    d: int
-    ell0: int
-    scales_all: list      # inspected dyadic exponents, |.| = (J+1) I when compatible
-    scales_coarse: list   # every (J+1)-th, |.| = I when compatible
-    compatible: bool
-    ell_min_value: int
-    alpha_tilde: float
-
-
-def scale_system(I: int, J: int, ell_star: int, L: int | None = None,
-                 d: int = 3) -> ScaleSystem:
-    """Derive the inspected scale ladder below ell_star.
-
-    ell0 is the largest multiple of (J+1)L not exceeding ell_star; the
-    ladder walks down I(J+1) steps of size L. Compatibility asks the
-    ladder to stay above the resolution floor; incompatible systems are
-    reported, not rejected (desk-scale sweeps need them).
-    """
-    if I < 1 or J < 1 or ell_star < 0:
-        raise ValueError("need I, J >= 1 and ell_star >= 0")
-    LJ = separation_scale(J, d)
-    if L is None:
-        L = LJ
-    if L < LJ:
-        raise ValueError(f"L must be at least the separation scale {LJ}")
-    block = (J + 1) * L
-    ell0 = (ell_star // block) * block
-    lower = ell0 - I * block
-    scales_all = [ell for ell in range(0, ell0 + 1, L) if ell > lower]
-    scales_coarse = [ell for ell in range(0, ell0 + 1, block) if ell > lower]
-    lmin = ell_min(1.0 / (200 * J))
-    compatible = ell0 - (I + 1) * block > lmin
-    return ScaleSystem(I, J, L, int(ell_star), d, ell0, scales_all,
-                       scales_coarse, compatible, lmin, alpha_tilde(d))
-
-
-def resonance_set(U0: SiteSet, scales: ScaleSystem,
-                  search_window: SiteSet) -> SiteSet:
-    """Sites of the window whose widened complement-density is
-    non-degenerate at >= J of the inspected scales."""
-    prof = complement_profile(U0)
-    at = scales.alpha_tilde
-    counts = np.zeros(len(search_window), dtype=np.int64)
-    for k, x in enumerate(search_window):
-        for ell in scales.scales_all:
-            val = prof.density(x, ell, widened=True)
-            if at <= val <= 1.0 - at:
-                counts[k] += 1
-    return SiteSet(search_window.coords[counts >= scales.J], search_window.d)
 
 
 # ---------------------------------------------------------------------------

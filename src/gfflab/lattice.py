@@ -10,7 +10,6 @@ distances are l-infinity unless stated otherwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -180,23 +179,6 @@ class SiteSet:
         shift = as_coords(x, self.d)[0]
         return SiteSet(self.coords + shift, self.d)
 
-    def to_text(self, path) -> None:
-        """Newline-delimited coordinate tuples, JSON header first."""
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps({"d": self.d, "count": len(self)}) + "\n")
-            for row in self.coords:
-                fh.write(" ".join(str(int(v)) for v in row) + "\n")
-
-    @classmethod
-    def from_text(cls, path) -> "SiteSet":
-        with open(path, "r", encoding="utf-8") as fh:
-            header = json.loads(fh.readline())
-            rows = [line.split() for line in fh if line.strip()]
-        coords = np.array(rows, dtype=np.int64) if rows else np.empty((0, header["d"]))
-        if coords.shape[0] != header["count"]:
-            raise ValueError("site count does not match header")
-        return cls(coords, d=header["d"])
-
 
 def empty_set(d: int) -> SiteSet:
     return SiteSet(np.empty((0, d), dtype=np.int64), d=d)
@@ -265,18 +247,6 @@ def boundary(K: SiteSet, kind: str = "external") -> SiteSet:
     if kind == "internal":
         return SiteSet(K.coords[outside.any(axis=1)], K.d)
     raise ValueError(f"unknown boundary kind {kind!r}")
-
-
-def linf_distance(K: SiteSet, L: SiteSet) -> int:
-    """min over pairs of |x - y|_inf; error on empty input."""
-    if K.is_empty or L.is_empty:
-        raise ValueError("linf_distance requires non-empty sets")
-    from scipy.spatial import cKDTree  # on use: no command needs it, and it is slow to import
-
-    small, big = (K, L) if len(K) <= len(L) else (L, K)
-    tree = cKDTree(big.coords)
-    dist, _ = tree.query(small.coords, k=1, p=np.inf)
-    return int(np.min(dist))
 
 
 # ---------------------------------------------------------------------------

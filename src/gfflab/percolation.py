@@ -125,15 +125,6 @@ def is_connected(H: SiteSet, K: SiteSet, S: LevelSet) -> bool:
     return bool(_seed_clusters(grid, seed, target).any())
 
 
-def disconnection_event(phi: FieldSample, alpha: float, A_N: SiteSet,
-                        S_N: SiteSet) -> bool:
-    """True iff no level-set path joins A_N to the enclosing shell S_N."""
-    for part in (A_N, S_N):
-        if not part.issubset(phi.sites):
-            raise ValueError("geometry not contained in the sample domain")
-    return not is_connected(A_N, S_N, level_set(phi, alpha))
-
-
 # ---------------------------------------------------------------------------
 # Replica-parallel level-set connectivity kernel
 

@@ -476,32 +476,6 @@ def capacity(env: Conductances, A: SiteSet, B: SiteSet,
     return float(equilibrium_measure(env, A, B, h=h).sum())
 
 
-def energy_W(env: Conductances, U: SiteSet, h: np.ndarray) -> float:
-    """Quadratic form h^T g_U h (finite-volume energy of a charge h on U)."""
-    h = np.asarray(h, dtype=np.float64)
-    if h.shape[0] != len(U):
-        raise ValueError("charge vector must align with U")
-    return float(h @ DirichletOperator(env, U).solve(h))
-
-
-def dump_vector(path, sites: SiteSet, values: np.ndarray) -> None:
-    """Debug text dump: one `index value` line per site, in site order."""
-    values = np.asarray(values)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# n={len(sites)} d={sites.d}\n")
-        for i in range(len(sites)):
-            fh.write(f"{i} {format(float(values[i]), '.17g')}\n")
-
-
-def load_vector(path) -> np.ndarray:
-    with open(path, "r", encoding="utf-8") as fh:
-        rows = [line.split() for line in fh if not line.startswith("#")]
-    out = np.empty(len(rows))
-    for idx, val in rows:
-        out[int(idx)] = float(val)
-    return out
-
-
 @dataclass
 class UnkilledCapacityReport:
     radii: list

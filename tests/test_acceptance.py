@@ -15,7 +15,7 @@ import scipy.linalg as sla
 
 from gfflab.cli import main as cli_main
 from gfflab.environment import Conductances, EnvironmentLaw, sample_environment
-from gfflab.gff import decompose_matrix, sample_matrix, tilted_sample
+from gfflab.gff import decompose_matrix, sample_matrix, tilt_log_weights
 from gfflab.homogenization import (
     annulus_pairing_quadrature,
     capacity_scaling,
@@ -146,9 +146,8 @@ def test_criterion_04_tilting_exactness():
     op = DirichletOperator(env, U)
     n = 20_000
     f = 0.12 * np.ones(len(U))
-    pairs = tilted_sample(env, U, f, n, seed=4, op=op)
-    vals = np.stack([s.values for s, _ in pairs], axis=1)
-    w = np.exp([lw for _, lw in pairs])
+    vals = sample_matrix(env, U, n, stream(4, "gff-tilted"), op=op) + f[:, None]
+    w = np.exp(tilt_log_weights(env, U, f, vals, op=op))
     mean_se = vals.std(axis=1, ddof=1) / math.sqrt(n)
     mean_ok = bool((np.abs(vals.mean(axis=1) - f) / mean_se).max() <= 5)
     i0 = U.index_of([0, 0, 0])

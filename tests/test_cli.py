@@ -62,11 +62,17 @@ def test_validate_nesting_diagnostic(tmp_path):
     assert any("escapes B" in s for s in issues)
 
 
-def test_validate_scale_compatibility(tmp_path):
+def test_validate_rejects_unknown_sections(tmp_path):
+    # no command reads them, so they would pass unchecked
     cfg = _base(tmp_path)
     cfg["scales"] = {"I": 3, "J": 1, "ell_star": 100}
-    issues = validate(cfg, "scales")
-    assert any("compatible" in s for s in issues)
+    cfg["percolaton"] = {"L_grid": [1], "alpha_grid": [0.0], "replicas": 4}
+    cfg["gff"] = {"radius": 1, "count": 2}
+    unknown = ["unknown section 'scales'", "unknown section 'percolaton'"]
+    assert validate(cfg) == unknown
+    assert validate(cfg, "gff") == unknown
+    assert main(["gff", "--config", _write(tmp_path, cfg)]) == 2
+    assert not (tmp_path / "run1").exists()
 
 
 def test_missing_config_exit_code():
@@ -426,6 +432,8 @@ _SOLIDIFY_ESCAPES = "solidify: the hitting windows around A escape ball B"
      _SOLIDIFY_ESCAPES),
     ("solidify", {**_SOLIDIFY, "A_radius": 1, "offset": 2, "B_radius": 5},
      _SOLIDIFY_ESCAPES),
+    ("percolation", {**_PERCOLATION, "L_grid": [2, 1, 2]},
+     "percolation: L_grid must not repeat a value"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
@@ -575,8 +583,7 @@ def test_a_bool_and_a_non_object_section_have_the_wrong_type(tmp_path):
                              "percolation.classify must be of JSON type object"]
     cfg = _base(tmp_path)
     cfg["scales"] = {"I": "3", "J": 1, "ell_star": 100}
-    issues = validate(cfg)
-    assert len(issues) == 1 and issues[0].startswith("scales: ")
+    assert validate(cfg) == ["unknown section 'scales'"]
 
 
 _IDENTITY_KEYS = ["d", "lambda", "law", "offset", "seed", "version",

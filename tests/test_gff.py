@@ -5,17 +5,14 @@ from scipy.stats import kstest, norm
 from gfflab.environment import EnvironmentLaw, sample_environment
 from gfflab.gff import (
     BoxCollection,
-    FieldSample,
-    decompose,
     decompose_matrix,
     functional_Z,
     sample_gff,
     sample_matrix,
     tilt_log_weights,
-    tilted_sample,
 )
 from gfflab.lattice import SiteSet, ball, box_sites
-from gfflab.potential import DirichletOperator, green_killed
+from gfflab.potential import DirichletOperator, as_operator, green_killed
 from gfflab.streams import stream
 
 LAW = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -80,29 +77,29 @@ def test_decompose_fields(env):
     U = ball([0, 0, 0], 2)
     inner = ball([0, 0, 0], 1)
     phi = sample_gff(env, U, 1, seed=5)[0]
-    dec = decompose(phi, env, inner)
+    xi, psi = decompose_matrix(env, U, inner, phi.values)
     out = ~inner.contains_mask(U.coords)
-    assert np.all(dec.psi[out] == 0.0)
-    assert np.allclose(dec.xi[out], phi.values[out])
-    assert np.allclose(dec.xi + dec.psi, phi.values)
+    assert np.all(psi[out] == 0.0)
+    assert np.allclose(xi[out], phi.values[out])
+    assert np.allclose(xi + psi, phi.values)
 
 
 def test_decompose_constant_field(env):
     U = ball([0, 0, 0], 2)
     inner = ball([0, 0, 0], 1)
-    phi = FieldSample(U, np.full(len(U), 2.2))
-    dec = decompose(phi, env, inner)
-    assert np.abs(dec.xi - 2.2).max() < 1e-10
-    assert np.abs(dec.psi).max() < 1e-10
+    xi, psi = decompose_matrix(env, U, inner, np.full(len(U), 2.2))
+    assert np.abs(xi - 2.2).max() < 1e-10
+    assert np.abs(psi).max() < 1e-10
 
 
 def test_decompose_boundary_guard(env):
     U = ball([0, 0, 0], 2)
     phi = sample_gff(env, U, 1, seed=5)[0]
     with pytest.raises(ValueError):
-        decompose(phi, env, U)  # boundary of U' touches the domain boundary
+        # the boundary of U' touches the domain boundary
+        decompose_matrix(env, U, U, phi.values)
     with pytest.raises(ValueError):
-        decompose(phi, env, ball([9, 9, 9], 1))
+        decompose_matrix(env, U, ball([9, 9, 9], 1), phi.values)
 
 
 def test_domain_markov_covariances(env):
@@ -124,24 +121,31 @@ def test_domain_markov_covariances(env):
     assert (np.abs(cross) / cross_se).max() < 5
 
 
+def _tilted(env, U, f, count, seed, op=None):
+    """Draws of phi + f on the "gff-tilted" stream, (n, count), and their
+    log-weights, built as the disconnection pipeline builds them."""
+    op = as_operator(env, U, op)
+    shifted = sample_matrix(env, U, count, stream(seed, "gff-tilted"), op=op)
+    shifted += f[:, None]
+    return shifted, tilt_log_weights(env, U, f, shifted, op=op)
+
+
 def test_tilted_sample_mean_and_weights(env):
     U = ball([0, 0, 0], 1)
     f = np.zeros(len(U))
     f[U.index_of([0, 0, 0])] = 0.8
     f[U.index_of([1, 0, 0])] = -0.3
     n = 6000
-    pairs = tilted_sample(env, U, f, n, seed=9)
-    vals = np.stack([s.values for s, _ in pairs], axis=1)
+    vals, _ = _tilted(env, U, f, n, seed=9)
     mean_se = vals.std(axis=1, ddof=1) / np.sqrt(n)
     assert (np.abs(vals.mean(axis=1) - f) / np.maximum(mean_se, 1e-12)).max() < 5
 
 
 def test_tilt_zero_is_plain(env):
     U = ball([0, 0, 0], 1)
-    pairs = tilted_sample(env, U, np.zeros(len(U)), 50, seed=10)
-    assert all(w == 0.0 for _, w in pairs)
+    tilted, logw = _tilted(env, U, np.zeros(len(U)), 50, seed=10)
+    assert np.all(logw == 0.0)
     plain = sample_matrix(env, U, 50, stream(10, "gff-tilted"))
-    tilted = np.stack([s.values for s, _ in pairs], axis=1)
     assert np.array_equal(plain, tilted)
 
 
@@ -152,9 +156,8 @@ def test_importance_identity(env):
     op = DirichletOperator(env, U)
     f = 0.15 * np.ones(len(U))
     n = 8000
-    pairs = tilted_sample(env, U, f, n, seed=11, op=op)
-    vals = np.stack([s.values for s, _ in pairs], axis=1)
-    w = np.exp([lw for _, lw in pairs])
+    vals, logw = _tilted(env, U, f, n, seed=11, op=op)
+    w = np.exp(logw)
     i0 = U.index_of([0, 0, 0])
     est_terms = w * (vals[i0] <= 0.0)
     est = est_terms.mean()
@@ -170,21 +173,14 @@ def test_two_estimator_agreement(env):
     op = DirichletOperator(env, U)
     f = 0.1 * np.ones(len(U))
     n = 10_000
-    pairs = tilted_sample(env, U, f, n, seed=12, op=op)
-    vals = np.stack([s.values for s, _ in pairs], axis=1)
-    w = np.exp([lw for _, lw in pairs])
+    vals, logw = _tilted(env, U, f, n, seed=12, op=op)
+    w = np.exp(logw)
     i0 = U.index_of([0, 0, 0])
     is_terms = w * (vals[i0] <= 0.0)
     direct = sample_matrix(env, U, n, stream(13, "direct"), op=op)[i0] <= 0.0
     se = np.hypot(is_terms.std(ddof=1) / np.sqrt(n),
                   direct.std(ddof=1) / np.sqrt(n))
     assert abs(is_terms.mean() - direct.mean()) <= 3 * se
-
-
-def test_tilt_support_guard(env):
-    U = ball([0, 0, 0], 1)
-    with pytest.raises(ValueError):
-        tilted_sample(env, U, np.zeros(5), 2, seed=1)
 
 
 def test_log_weight_formula(env):

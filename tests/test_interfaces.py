@@ -6,24 +6,17 @@ from gfflab.environment import EnvironmentLaw, sample_environment
 from gfflab.interfaces import (
     DensityProfile,
     PorousInterface,
-    SegmentationCheck,
-    alpha_tilde,
     build_shell_interface,
     capacity_ratio_check,
     check_porous_interface,
-    check_segmentation,
     complement_profile,
     density_dichotomy_holds,
     density_grid,
-    ell_min,
     escape_probability,
     local_density,
     nested_punctured_interfaces,
-    resonance_set,
-    scale_system,
-    separation_scale,
 )
-from gfflab.lattice import SiteSet, ball, box_sites, empty_set, half_space
+from gfflab.lattice import ball, box_sites, empty_set, half_space
 from gfflab.streams import stream
 
 LAW = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -47,13 +40,6 @@ def test_local_density_half_space():
     hs = half_space([-1.0, 0.0, 0.0], -1.0)  # x1 >= 1
     val = local_density(lambda pts: hs.contains(pts), [0, 0, 0], 0, d=3)
     assert val == pytest.approx(9 / 27)
-
-
-def test_widened_uses_radius_four():
-    U1 = ball([0, 0, 0], 4)
-    prof = DensityProfile(U1)
-    assert prof.density([0, 0, 0], 0, widened=True) == 1.0
-    assert prof.density([0, 0, 0], 1, widened=True) < 1.0  # radius 8 ball
 
 
 @given(st.integers(0, 3),
@@ -122,29 +108,6 @@ def test_dichotomy_on_samples():
 def test_dichotomy_guard():
     with pytest.raises(ValueError):
         density_dichotomy_holds(np.array([0.5, 0.5]), 0.9)
-
-
-# -- segmentation -------------------------------------------------------------
-
-
-def test_segmentation_containment():
-    U0 = ball([0, 0, 0], 6)
-    chk = check_segmentation(U0, SiteSet([[0, 0, 0]]), 2)
-    assert isinstance(chk, SegmentationCheck)
-    assert chk.ok and chk.worst_value == 0.0
-
-
-def test_segmentation_outside_fails():
-    U0 = ball([5, 5, 5], 1)
-    chk = check_segmentation(U0, SiteSet([[0, 0, 0]]), 0)
-    assert not chk.ok
-    assert chk.worst_value >= 1.0 / 27.0
-
-
-def test_segmentation_trivial_scale():
-    U0 = ball([2, 2, 2], 1)
-    chk = check_segmentation(U0, SiteSet([[2, 2, 2]]), 0)
-    assert chk.ok and chk.worst_value <= 0.5
 
 
 # -- porous interfaces ---------------------------------------------------------
@@ -216,72 +179,3 @@ def test_capacity_ratio_chain(env):
     assert same.inf_hit == pytest.approx(1.0)
     assert abs(same.dirichlet_gap) < 1e-9
     assert abs(same.cap_sigma - same.cap_A) < 1e-9
-
-
-# -- scale systems and resonance ------------------------------------------------
-
-
-def test_separation_scale_value():
-    assert separation_scale(1, 3) == 12  # smallest L >= 5 with 12 2^-L <= 1/200
-
-
-def test_ell_min():
-    assert ell_min(1.0 / 200.0) == 11
-    assert ell_min(0.5) == 5
-    with pytest.raises(ValueError):
-        ell_min(0.0)
-
-
-def test_alpha_tilde_value():
-    assert alpha_tilde(3) == pytest.approx(1.0 / 192.0)
-
-
-def test_scale_system_counts():
-    sy = scale_system(1, 1, 100)
-    assert sy.L == 12 and sy.ell0 == 96
-    assert len(sy.scales_all) == (sy.J + 1) * sy.I
-    assert len(sy.scales_coarse) == sy.I
-    assert sy.compatible
-    sy2 = scale_system(2, 1, 100)
-    assert len(sy2.scales_all) == (sy2.J + 1) * sy2.I
-    # compatibility predicate spelled out; I=3 pushes the ladder below floor
-    assert sy2.compatible == (sy2.ell0 - (sy2.I + 1) * (sy2.J + 1) * sy2.L
-                              > sy2.ell_min_value)
-    assert not scale_system(3, 1, 100).compatible  # 96 - 4*24 = 0 <= 11
-
-
-def test_scale_system_guards():
-    with pytest.raises(ValueError):
-        scale_system(0, 1, 10)
-    with pytest.raises(ValueError):
-        scale_system(1, 1, 10, L=5)  # below the separation scale
-
-
-def test_resonance_trivial_cases():
-    sy = scale_system(1, 1, 4)  # desk-scale, incompatible by design
-    window = box_sites([-2] * 3, [2] * 3)
-    # complement empty: densities all 0
-    assert len(resonance_set(box_sites([-50] * 3, [50] * 3), sy, window)) == 0
-    # U0 empty: complement density 1 everywhere
-    assert len(resonance_set(empty_set(3), sy, window)) == 0
-
-
-def test_resonance_half_space():
-    sy = scale_system(1, 1, 4)
-    U0 = box_sites([-40, -12, -12], [0, 12, 12])  # x1 <= 0 locally
-    window = box_sites([-2] * 3, [2] * 3)
-    res = resonance_set(U0, sy, window)
-    # every window site sees a non-degenerate widened density
-    assert len(res) == len(window)
-
-
-def test_porous_interface_serialization(tmp_path):
-    spec = build_shell_interface(ball([0, 0, 0], 1), 2, 0.3, stream(9, "ser"))
-    spec.chi = 0.4
-    spec.ell_star = 2
-    path = tmp_path / "interface.txt"
-    spec.to_text(path, provenance="unit-test")
-    back = PorousInterface.from_text(path)
-    assert back.U0 == spec.U0 and back.Sigma == spec.Sigma
-    assert back.epsilon == spec.epsilon and back.chi == spec.chi
-    assert back.ell_star == spec.ell_star

@@ -8,11 +8,9 @@ from gfflab.lattice import (
     blow_up,
     boundary,
     box_sites,
-    empty_set,
     euclidean_ball,
     half_space,
     linf_box,
-    linf_distance,
     linf_sphere,
     neighbor_steps,
     shape_from_spec,
@@ -67,15 +65,6 @@ def test_sphere_mode():
     s = sphere(2, 3, 3)
     assert np.all(np.abs(s.coords).max(axis=1) == 6)
     assert len(linf_sphere(0, 3)) == 1
-
-
-def test_linf_distance():
-    assert linf_distance(SiteSet([[0, 0, 0]]), SiteSet([[3, 0, 0]])) == 3
-    b = ball([0, 0, 0], 1)
-    assert linf_distance(b, b) == 0
-    assert linf_distance(ball([0, 0, 0], 1), ball([5, 0, 0], 1)) == 3
-    with pytest.raises(ValueError):
-        linf_distance(b, empty_set(3))
 
 
 def test_index_round_trip():
@@ -137,14 +126,6 @@ def test_neighbors_is_locate_of_the_shifted_coords(sites):
     assert table.dtype == np.int64 and table.shape == (len(s), 6)
     for k, step in enumerate(neighbor_steps(3)):
         assert np.array_equal(table[:, k], s.locate(s.coords + step))
-
-
-def test_serialization_round_trip(tmp_path):
-    s = ball([2, -1, 0], 2).difference(ball([2, -1, 0], 1))
-    path = tmp_path / "sites.txt"
-    s.to_text(path)
-    back = SiteSet.from_text(path)
-    assert back == s
 
 
 def test_dimension_guard():

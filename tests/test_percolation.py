@@ -20,7 +20,6 @@ from gfflab.percolation import (
     connectivity_function,
     crossing_probability,
     decoupling_check,
-    disconnection_event,
     is_connected,
     level_set,
     threshold_event,
@@ -256,14 +255,12 @@ def test_disconnection_event_cases():
     # blocking shell of low values
     vals = np.ones(len(dom))
     vals[dom.locate(linf_sphere(2, 3).coords)] = -1.0
-    assert disconnection_event(_field(dom, vals), 0.0, A, S_N)
-    assert not disconnection_event(_field(dom, np.ones(len(dom))), 0.0, A, S_N)
+    assert not is_connected(A, S_N, level_set(_field(dom, vals), 0.0))
+    assert is_connected(A, S_N, level_set(_field(dom, np.ones(len(dom))), 0.0))
     # alpha above the maximum empties the level set
-    assert disconnection_event(_field(dom, vals), 5.0, A, S_N)
+    assert not is_connected(A, S_N, level_set(_field(dom, vals), 5.0))
     # alpha below the minimum connects everything
-    assert not disconnection_event(_field(dom, vals), -5.0, A, S_N)
-    with pytest.raises(ValueError):
-        disconnection_event(_field(dom, vals), 0.0, ball([0, 0, 0], 9), S_N)
+    assert is_connected(A, S_N, level_set(_field(dom, vals), -5.0))
 
 
 def test_disconnection_monotone_in_alpha(env):
@@ -271,7 +268,7 @@ def test_disconnection_monotone_in_alpha(env):
     A = SiteSet([[0, 0, 0]])
     S_N = linf_sphere(4, 3)
     phi = sample_gff(env, dom, 1, seed=3)[0]
-    flags = [disconnection_event(phi, a, A, S_N)
+    flags = [not is_connected(A, S_N, level_set(phi, a))
              for a in np.linspace(-2, 2, 17)]
     # once disconnected, raising the level keeps it disconnected
     assert flags == sorted(flags)

@@ -25,7 +25,6 @@ from gfflab.potential import (
     capacity,
     capacity_unkilled_approx,
     dirichlet_form,
-    energy_W,
     equilibrium_measure,
     green_killed,
     harmonic_extension,
@@ -237,22 +236,12 @@ def test_constant_function_gradient(env):
     assert dirichlet_form(env, B, f) == pytest.approx(manual)
 
 
-def test_energy_W(env, const_env):
-    U0 = SiteSet([[0, 0, 0]])
-    assert energy_W(const_env, U0, np.array([1.0])) == pytest.approx(1.0 / 6.0)
-    U = ball([0, 0, 0], 1)
-    assert energy_W(env, U, np.zeros(len(U))) == 0.0
-    h = stream(6, "W").standard_normal(len(U))
-    dense = np.linalg.inv(killed_laplacian(env, U).toarray())
-    assert abs(energy_W(env, U, h) - h @ dense @ h) < 1e-10
-
-
 def test_energy_dirichlet_inequality(env):
     # |sum f h| <= W(h) E(f) shape: checked with the killed form
     U = ball([0, 0, 0], 2)
     rng = stream(7, "ineq")
     h = rng.standard_normal(len(U))
-    W = energy_W(env, U, h)
+    W = h @ DirichletOperator(env, U).solve(h)
     for _ in range(20):
         f = rng.standard_normal(len(U))
         lhs = abs(np.dot(f, h))
@@ -850,10 +839,3 @@ def test_incidence_factor_equals_its_reference(env, name):
     assert _same_csr(DirichletOperator(env, U)._get_incidence(), ref)
 
 
-def test_vector_text_dump_round_trip(env, tmp_path):
-    from gfflab.potential import dump_vector, load_vector
-    U = ball([0, 0, 0], 1)
-    vals = stream(20, "dump").standard_normal(len(U))
-    path = tmp_path / "vec.txt"
-    dump_vector(path, U, vals)
-    assert np.array_equal(load_vector(path), vals)
