@@ -95,7 +95,7 @@ REQUIRED_KEYS = {
                  "offset": "number >= 0",
                  "puncture_fractions": "list of number >= 0 and < 1"},
     "homogenize": {"A": "object", "B": "object", "N_list": "list"},
-    "homogenize.reference": {"shape": "string", "sigma2": "number"},
+    "homogenize.reference": {"shape": "string in ball annulus", "sigma2": "number"},
     # replicas >= 2: the standard error divides by replicas - 1
     "homogenize.diffusivity": {"t_horizon": "number > 0",
                                "replicas": "integer >= 2"},
@@ -245,6 +245,13 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                     or any(a >= b for a, b in zip(ladder, ladder[1:]))):
                 bad.append("homogenize: N_list must be a non-empty, strictly "
                            "increasing list of integers >= 1")
+            ref = sec.get("reference")
+            # the continuum capacities are closed forms in d = 3
+            if ref is not None and d != 3:
+                bad.append("homogenize.reference: needs dimension 3")
+            if (ref is not None and ref["shape"] == "annulus"
+                    and not ref.get("R", -math.inf) > ref.get("r", 1.0)):
+                bad.append("homogenize.reference: annulus needs R > r")
         if name in ("homogenize", "disconnect") and "eta" in sec:
             try:
                 eta_from_spec(sec["eta"])
@@ -279,6 +286,8 @@ def validate(config: dict, command: str | None = None) -> list[str]:
                 BoxCollection(ksec["L"], ksec["K"], tuple(map(tuple, ksec["centers"])))
             except ValueError as exc:
                 bad.append(f"percolation.classify: {exc}")
+            if not ksec["delta"] < ksec["gamma"]:
+                bad.append("percolation.classify: levels must satisfy delta < gamma")
     return bad
 
 

@@ -59,11 +59,6 @@ class DensityProfile:
         return self._cache[key]
 
 
-def local_density(U1, x, level: int, d: int | None = None) -> float:
-    """One-off local density (see DensityProfile for the cached form)."""
-    return DensityProfile(U1, d=d).density(x, level)
-
-
 def complement_profile(U0: SiteSet) -> DensityProfile:
     """Density profile of the complement of U0."""
     return DensityProfile(lambda pts: ~U0.contains_mask(pts), d=U0.d)
@@ -89,8 +84,8 @@ def density_grid(profile_member, lo, hi, level: int, d: int) -> np.ndarray:
     """sigma_l on every site of the box [lo, hi], by exact window sums.
 
     profile_member: vectorized membership test of U_1 over (n, d) points.
-    Equivalent to calling local_density per site, but O(volume) overall;
-    used for scale sweeps and the density-law verification harness.
+    Equivalent to `DensityProfile.density` per site, but O(volume) overall;
+    the density-law checks (AC06) read it.
     """
     lo = as_coords(lo, d)[0]
     hi = as_coords(hi, d)[0]

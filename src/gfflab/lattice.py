@@ -218,11 +218,6 @@ def linf_sphere(radius: int, d: int, center=None) -> SiteSet:
     return outer.difference(inner)
 
 
-def sphere(M: float, N: int, d: int) -> SiteSet:
-    """The shell {|x|_inf = floor(M*N)} enclosing the blown-up geometry."""
-    return linf_sphere(int(np.floor(M * N)), d)
-
-
 _NEIGHBOR_STEPS_CACHE: dict[int, np.ndarray] = {}
 
 

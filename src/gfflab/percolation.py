@@ -12,8 +12,8 @@ function, the disconnection event of `homogenization`, `is_connected`
 the box classification (one replica per D-box) are one reduction of its
 output each. It labels the replicas of a block in cache-sized slices,
 one `ndimage.label` call per slice, over a structure whose replica axis
-couples nothing. `components()` labels a level set only for its cluster
-statistics, sizes and diameters, which pick the big clusters of a box.
+couples nothing. The one other labelling, in `_big_components`, keeps
+the clusters of a box's level set whose diameter reaches a threshold.
 
 The crossing event {B(x,L) <-> the sphere |y - x|_inf = 2L} is labelled
 on ball(x, 2L) alone, although the field is drawn on the padded domain:
@@ -69,48 +69,6 @@ class LevelSet:
 def level_set(phi: FieldSample, alpha: float) -> LevelSet:
     """Sites of the sample domain where the field is at least alpha."""
     return LevelSet(phi.sites, float(alpha), phi.values >= alpha)
-
-
-@dataclass
-class ComponentLabeling:
-    """Labels over the domain; -1 off the set. Canonical label of a
-    component is the smallest dense site index it contains."""
-
-    domain: SiteSet
-    label: np.ndarray
-    sizes: dict
-    diameters: dict
-
-    @property
-    def n_components(self) -> int:
-        return len(self.sizes)
-
-
-def components(S: LevelSet) -> ComponentLabeling:
-    """Union of nearest-neighbor clusters of the level set, labelled on
-    the grid of the set's bounding box."""
-    dom = S.domain
-    label = -np.ones(len(dom), dtype=np.int64)
-    in_idx = np.nonzero(S.mask)[0]
-    if in_idx.size == 0:
-        return ComponentLabeling(dom, label, {}, {})
-    pts = dom.coords[in_idx]
-    lo = pts.min(axis=0)
-    pos = tuple((pts - lo).T)
-    grid = np.zeros(tuple(pts.max(axis=0) - lo + 1), dtype=bool)
-    grid[pos] = True
-    labels, _ = ndimage.label(grid, ndimage.generate_binary_structure(grid.ndim, 1))
-    raw = labels[pos]
-    # in_idx ascends, so a label's first occurrence is its smallest index
-    _, first = np.unique(raw, return_index=True)
-    canon = in_idx[first]
-    label[in_idx] = canon[raw - 1]
-    sizes = np.bincount(raw)[1:]
-    diams = [max(sl.stop - sl.start for sl in box) - 1
-             for box in ndimage.find_objects(labels)]
-    return ComponentLabeling(dom, label,
-                             dict(zip(canon.tolist(), sizes.tolist())),
-                             dict(zip(canon.tolist(), diams)))
 
 
 def is_connected(H: SiteSet, K: SiteSet, S: LevelSet) -> bool:
@@ -355,10 +313,18 @@ class BoxClassification:
 
 
 def _big_components(mask_sites: SiteSet, min_diam: float) -> SiteSet:
-    """The sites of the clusters of diameter >= min_diam, as one set."""
-    lab = components(LevelSet(mask_sites, 0.0, np.ones(len(mask_sites), dtype=bool)))
-    big = [canon for canon, diam in lab.diameters.items() if diam >= min_diam]
-    return SiteSet(mask_sites.coords[np.isin(lab.label, big)], mask_sites.d)
+    """The sites of the clusters of diameter >= min_diam, as one set,
+    labelled on the grid of the set's bounding box."""
+    if mask_sites.is_empty:
+        return mask_sites
+    lo, hi = mask_sites.bounding_box()
+    pos = tuple((mask_sites.coords - lo).T)
+    grid = np.zeros(tuple(hi - lo + 1), dtype=bool)
+    grid[pos] = True
+    labels, _ = ndimage.label(grid)
+    big = [k + 1 for k, box in enumerate(ndimage.find_objects(labels))
+           if max(sl.stop - sl.start for sl in box) - 1 >= min_diam]
+    return SiteSet(mask_sites.coords[np.isin(labels[pos], big)], mask_sites.d)
 
 
 def classify_boxes(env: Conductances, phi: FieldSample, grid: BoxCollection,

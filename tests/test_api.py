@@ -28,10 +28,9 @@ L_U is written straight into CSR from that table. The walk loop
 `potential._walk` calls no site-set lookup, no neighbor table and no
 `as_coords`, so walkers move on flat window indices alone, with no
 coordinate path beside them. Only `percolation._seed_clusters` and
-`percolation.components` call `label`; `is_connected` and
-`classify_boxes` call `_seed_clusters`, and `components` has no caller
-but `_big_components`, so one kernel answers every connectivity
-question.
+`percolation._big_components` call `label`, and `is_connected` and
+`classify_boxes` call `_seed_clusters`, so one kernel answers every
+connectivity question.
 
 Every public top-level function and class of the package is referenced
 where it can run: in the package outside its own body, in the benchmark,
@@ -285,11 +284,10 @@ def _callers(name: str) -> set[str]:
 
 
 def test_one_connectivity_kernel():
-    # connectivity questions go through _seed_clusters; components()
-    # labels only for the cluster statistics that pick big clusters
+    # connectivity questions go through _seed_clusters; _big_components
+    # labels a box's level set only for the diameters of its clusters
     assert _callers("label") == {"percolation._seed_clusters",
-                                 "percolation.components"}
-    assert _callers("components") == {"percolation._big_components"}
+                                 "percolation._big_components"}
     assert {"percolation.is_connected", "percolation.classify_boxes",
             "percolation.crossing_probability",
             "percolation.connectivity_function"} <= _callers("_seed_clusters")
@@ -311,9 +309,6 @@ UNREFERENCED_OK = {
     # connectivity question on a site set, which
     # test_one_connectivity_kernel pins to `_seed_clusters`
     "potential.walk_simulate", "percolation.is_connected", "percolation.level_set",
-    # only docstrings and tests name these; whether they go is open
-    # (ROADMAP item 6)
-    "gff.functional_Z", "interfaces.local_density", "lattice.sphere",
 }
 
 

@@ -434,9 +434,25 @@ _SOLIDIFY_ESCAPES = "solidify: the hitting windows around A escape ball B"
      _SOLIDIFY_ESCAPES),
     ("percolation", {**_PERCOLATION, "L_grid": [2, 1, 2]},
      "percolation: L_grid must not repeat a value"),
+    ("percolation", {**_PERCOLATION, "classify": {
+        "L": 2, "K": 5, "centers": [[0, 0, 0]], "gamma": 0.0, "delta": 0.0, "a": 1.0}},
+     "percolation.classify: levels must satisfy delta < gamma"),
+    ("homogenize", {**_HOMOGENIZE, "reference": {"shape": "cube", "sigma2": 1.0}},
+     "homogenize.reference: shape must be in ball annulus"),
+    ("homogenize", {**_HOMOGENIZE, "reference": {"shape": "annulus", "sigma2": 1.0,
+                                                 "R": 1.0}},
+     "homogenize.reference: annulus needs R > r"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)
+
+
+def test_reference_needs_dimension_3(tmp_path):
+    cfg = _base(tmp_path)
+    cfg["homogenize"] = {**_HOMOGENIZE, "reference": {"shape": "ball", "sigma2": 1.0}}
+    assert validate(cfg) == []
+    cfg["dimension"] = 4
+    assert "homogenize.reference: needs dimension 3" in validate(cfg)
 
 
 @pytest.mark.parametrize("A_radius, offset, B_radius", [(1.5, 1, 3), (2, 1.5, 5)])

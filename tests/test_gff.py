@@ -6,7 +6,6 @@ from gfflab.environment import EnvironmentLaw, sample_environment
 from gfflab.gff import (
     BoxCollection,
     decompose_matrix,
-    functional_Z,
     sample_gff,
     sample_matrix,
     tilt_log_weights,
@@ -199,52 +198,11 @@ def test_log_weight_formula(env):
 # -- box collections ----------------------------------------------------------
 
 
-def test_box_collection_validation(env):
+def test_box_collection_validation():
     with pytest.raises(ValueError):
         BoxCollection(L=2, K=4, centers=((0, 0, 0),))  # U box must hold D box
-    # adjacent boxes make a grid, but not a collection for functional_Z
-    adjacent = BoxCollection(L=2, K=5, centers=((0, 0, 0), (2, 0, 0)))
-    with pytest.raises(ValueError, match="separation constraint"):
-        functional_Z(env, box_sites([-8] * 3, [8] * 3), adjacent)
     with pytest.raises(ValueError):
         BoxCollection(L=2, K=5, centers=((1, 0, 0),))  # off-lattice center
     coll = BoxCollection(L=2, K=5, centers=((0, 0, 0),))
     assert len(coll.box_B((0, 0, 0))) == 8
     assert len(coll.box_D((0, 0, 0))) == 14 ** 3
-
-
-def test_functional_single_box(env):
-    dom = box_sites([-10] * 3, [10] * 3)
-    envd = sample_environment(LAW, dom, seed=3, lam=0.5)
-    coll = BoxCollection(L=2, K=5, centers=((0, 0, 0),))
-    rep = functional_Z(envd, dom, coll, count=4000, seed=21)
-    assert sum(rep.lambda_weights.values()) == pytest.approx(1.0, abs=1e-10)
-    assert rep.exact_mean == 0.0
-    svar = rep.sample_zm.var(ddof=1)
-    assert abs(svar - rep.var_zm) < 5 * rep.var_zm * np.sqrt(2 / 4000)
-    assert rep.var_zmbr == pytest.approx(rep.var_zm)  # beta = rho = 0
-    assert np.all(rep.sample_zinf <= rep.sample_zm + 1e-12)
-    assert np.isfinite(rep.mean_bound_quantity)
-
-
-def test_functional_pair_and_pairing_terms():
-    dom = box_sites([-9, -9, -9], [53, 9, 9])
-    envd = sample_environment(LAW, dom, seed=8, lam=0.5)
-    coll = BoxCollection(L=2, K=5, centers=((0, 0, 0), (44, 0, 0)))
-    eta = np.exp(-np.sum((dom.coords / 10.0) ** 2, axis=1)) / len(dom)
-    rep = functional_Z(envd, dom, coll, eta_site_values=eta, beta=0.5, rho=0.1,
-                       count=3000, seed=22)
-    assert sum(rep.lambda_weights.values()) == pytest.approx(1.0, abs=1e-10)
-    expected = (1.1 ** 2 * rep.var_zm + 0.25 * rep.var_pairing
-                - 2 * 1.1 * 0.5 * rep.cov_zm_pairing)
-    assert rep.var_zmbr == pytest.approx(expected)
-    svar = rep.sample_zm.var(ddof=1)
-    assert abs(svar - rep.var_zm) < 5 * rep.var_zm * np.sqrt(2 / 3000)
-
-
-def test_functional_m_guard(env):
-    dom = box_sites([-10] * 3, [10] * 3)
-    envd = sample_environment(LAW, dom, seed=3, lam=0.5)
-    coll = BoxCollection(L=2, K=5, centers=((0, 0, 0),))
-    with pytest.raises(ValueError):
-        functional_Z(envd, dom, coll, m={(0, 0, 0): (9, 9, 9)})

@@ -13,7 +13,6 @@ from gfflab.interfaces import (
     density_dichotomy_holds,
     density_grid,
     escape_probability,
-    local_density,
     nested_punctured_interfaces,
 )
 from gfflab.lattice import ball, box_sites, empty_set, half_space
@@ -33,12 +32,12 @@ def env():
 def test_local_density_extremes():
     everything = DensityProfile(lambda pts: np.ones(len(pts), dtype=bool), d=3)
     assert everything.density([0, 0, 0], 3) == 1.0
-    assert local_density(empty_set(3), [0, 0, 0], 2) == 0.0
+    assert DensityProfile(empty_set(3)).density([0, 0, 0], 2) == 0.0
 
 
 def test_local_density_half_space():
     hs = half_space([-1.0, 0.0, 0.0], -1.0)  # x1 >= 1
-    val = local_density(lambda pts: hs.contains(pts), [0, 0, 0], 0, d=3)
+    val = DensityProfile(lambda pts: hs.contains(pts), d=3).density([0, 0, 0], 0)
     assert val == pytest.approx(9 / 27)
 
 

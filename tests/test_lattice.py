@@ -16,7 +16,6 @@ from gfflab.lattice import (
     shape_from_spec,
     shape_intersection,
     shape_union,
-    sphere,
 )
 
 
@@ -62,7 +61,7 @@ def test_blow_up_monotone():
 
 
 def test_sphere_mode():
-    s = sphere(2, 3, 3)
+    s = linf_sphere(6, 3)
     assert np.all(np.abs(s.coords).max(axis=1) == 6)
     assert len(linf_sphere(0, 3)) == 1
 

@@ -9,14 +9,14 @@ from gfflab.environment import EnvironmentLaw, sample_environment
 from gfflab import percolation
 from gfflab.gff import (BoxCollection, FieldSample, decompose_matrix, sample_gff,
                         sample_matrix)
-from gfflab.lattice import SiteSet, ball, box_sites, linf_sphere, neighbor_steps
+from gfflab.lattice import (SiteSet, ball, box_sites, empty_set, linf_sphere,
+                            neighbor_steps)
 from gfflab.percolation import (
     LevelSet,
     _big_components,
     _draw_blocks,
     _seed_clusters,
     classify_boxes,
-    components,
     connectivity_function,
     crossing_probability,
     decoupling_check,
@@ -111,27 +111,15 @@ def test_level_set_extremes_and_monotone(env):
 
 
 def test_components_cases():
-    dom = ball([0, 0, 0], 1)
-    empty = level_set(_field(dom, -np.ones(len(dom))), 0.0)
-    assert components(empty).n_components == 0
-    full = level_set(_field(dom, np.ones(len(dom))), 0.0)
-    lab = components(full)
-    assert lab.n_components == 1
-    assert list(lab.sizes.values()) == [27]
-    assert list(lab.diameters.values()) == [2]
-    # diagonal neighbors do not connect
+    # the clusters of l-infinity diameter >= min_diam, as one set
+    assert _big_components(empty_set(3), 0).is_empty
+    full = ball([0, 0, 0], 1)
+    assert len(_big_components(full, 2)) == 27
+    assert _big_components(full, 2.5).is_empty
+    # diagonal neighbors do not connect: two clusters of diameter 0
     two = SiteSet([[0, 0, 0], [1, 1, 0]])
-    lab2 = components(level_set(_field(two, [1.0, 1.0]), 0.0))
-    assert lab2.n_components == 2
-
-
-def test_components_canonical_and_idempotent():
-    dom = box_sites([0, 0, 0], [3, 0, 0])
-    vals = np.array([1.0, 1.0, -1.0, 1.0])
-    lab = components(level_set(_field(dom, vals), 0.0))
-    assert lab.label.tolist() == [0, 0, -1, 3]
-    lab2 = components(level_set(_field(dom, vals), 0.0))
-    assert np.array_equal(lab.label, lab2.label)
+    assert len(_big_components(two, 0)) == 2
+    assert _big_components(two, 1).is_empty
 
 
 def test_is_connected_conventions():
@@ -197,20 +185,19 @@ def test_connectivity_kernels_match_bfs_oracle(monkeypatch):
                 if c & seeds:
                     want[tuple(np.array(sorted(c)).T)] = True
             assert np.array_equal(cl[j], want)
-        # components() and is_connected on the non-box domain
+        # _big_components and is_connected on the non-box domain
         S = level_set(_field(dom, rng.standard_normal(len(dom))), alpha)
-        lab = components(S)
+        clusters = _bfs_clusters(map(tuple, S.sites.coords.tolist()))
         want_label = -np.ones(len(dom), dtype=np.int64)
-        sizes, diams = {}, {}
-        for c in _bfs_clusters(map(tuple, S.sites.coords.tolist())):
+        diams = []
+        for k, c in enumerate(clusters):
             pts = np.array(sorted(c))
-            idx = dom.locate(pts)
-            canon = int(idx.min())
-            want_label[idx] = canon
-            sizes[canon] = len(c)
-            diams[canon] = int((pts.max(axis=0) - pts.min(axis=0)).max())
-        assert np.array_equal(lab.label, want_label)
-        assert lab.sizes == sizes and lab.diameters == diams
+            want_label[dom.locate(pts)] = k
+            diams.append(int((pts.max(axis=0) - pts.min(axis=0)).max()))
+        for min_diam in (0, 1, 2):
+            big = _big_components(S.sites, min_diam)
+            assert set(map(tuple, big.coords.tolist())) == {
+                x for c, diam in zip(clusters, diams) if diam >= min_diam for x in c}
         for _ in range(5):
             H = SiteSet(dom.coords[rng.choice(len(dom), 3, replace=False)])
             K = SiteSet(dom.coords[rng.choice(len(dom), 3, replace=False)])
