@@ -95,14 +95,14 @@ REQUIRED_KEYS = {
                  "offset": "number >= 0",
                  "puncture_fractions": "list of number >= 0 and < 1"},
     "homogenize": {"A": "object", "B": "object", "N_list": "list"},
-    "homogenize.reference": {"shape": "string in ball annulus", "sigma2": "number"},
+    "homogenize.reference": {"shape": "string in ball annulus", "sigma2": "number > 0"},
     # replicas >= 2: the standard error divides by replicas - 1
     "homogenize.diffusivity": {"t_horizon": "number > 0",
                                "replicas": "integer >= 2"},
     "disconnect": {"A": "object", "M": "number", "alpha": "number",
                    "alpha_star_ref": "number", "epsilon": "number", "N": "integer >= 1",
                    "direct_replicas": COUNT, "tilted_replicas": COUNT},
-    "disconnect+eta": {"Delta": "number", "tilted_replicas": "integer >= 2"},
+    "disconnect+eta": {"Delta": "number >= 0", "tilted_replicas": "integer >= 2"},
 }
 
 # Keys read with a default, type-checked when present.
@@ -111,9 +111,9 @@ OPTIONAL_KEYS = {
     "percolation": {"padding": "integer >= 0"},
     "percolation.connectivity": {"padding": "integer >= 0"},
     "homogenize": {"quadrature_step": "number", "eta": "object"},
-    "homogenize.reference": {"r": "number", "R": "number"},
+    "homogenize.reference": {"r": "number > 0", "R": "number > 0"},
     "homogenize.diffusivity": {"mode": "string in vsrw csrw"},
-    "disconnect": {"B": "object", "eta": "object", "delta_shell": "number",
+    "disconnect": {"B": "object", "eta": "object", "delta_shell": "number >= 0",
                    "eps_ladder": "list"},
 }
 
@@ -322,6 +322,8 @@ class Runner:
         # the keyed identity of every environment it sampled, by role
         self.env_hash: str | None = None
         self.environments: dict[str, dict] = {}
+        # counters of the command's work, by section
+        self.stats: dict[str, dict] = {}
 
     def _record(self, name: str) -> Path:
         self.files.append(name)
@@ -510,6 +512,7 @@ class Runner:
             sec.get("delta_shell", 0.0), sec["direct_replicas"],
             sec["tilted_replicas"], eps_ladder=sec.get("eps_ladder"),
             eta_spec=sec.get("eta"), Delta=sec.get("Delta"))
+        self.stats["disconnect"] = dict(inst.settled)
         rows = [[p.epsilon, p.tilted_freq, p.tilted_se, p.is_estimate,
                  p.is_se, p.ess, p.entropy_H] for p in report.ladder]
         write_csv(self._record("disconnect_ladder.csv"),
@@ -531,6 +534,7 @@ class Runner:
             "environment_hash": self.env_hash,
             "environments": self.environments,
             "outputs": self.files,
+            "stats": self.stats,
             "wall_clock_seconds": time.time() - t0,
             "versions": {"gfflab": __version__, "numpy": np.__version__,
                          "scipy": scipy.__version__},

@@ -7,10 +7,13 @@ not touch. Component diameters are l-infinity diameters of the site set.
 One kernel, `_seed_clusters`, answers every connectivity question:
 over a (k,)+box boolean block it returns which target sites lie in a
 cluster that touches a seed set. Crossing events, the two-point
-function, the disconnection event of `homogenization`, `is_connected`
-(one replica, on the bounding box of a SiteSet) and the wiring test of
-the box classification (one replica per D-box) are one reduction of its
-output each. It labels the replicas of a block in cache-sized slices,
+function, `is_connected` (one replica, on the bounding box of a SiteSet)
+and the wiring test of the box classification (one replica per D-box)
+are one reduction of its output each. The disconnection event of
+`homogenization` is up to three: a crop around the seed that can only
+prove disconnection, a slab through it that can only prove connection,
+and the whole box for the draws neither settles (proofs in that
+module). It labels the replicas of a block in cache-sized slices,
 one `ndimage.label` call per slice, over a structure whose replica axis
 couples nothing. The one other labelling, in `_big_components`, keeps
 the clusters of a box's level set whose diameter reaches a threshold.

@@ -28,8 +28,9 @@ L_U is written straight into CSR from that table. The walk loop
 `potential._walk` calls no site-set lookup, no neighbor table and no
 `as_coords`, so walkers move on flat window indices alone, with no
 coordinate path beside them. Only `percolation._seed_clusters` and
-`percolation._big_components` call `label`, and `is_connected` and
-`classify_boxes` call `_seed_clusters`, so one kernel answers every
+`percolation._big_components` call `label`, and `is_connected`,
+`classify_boxes`, the crossing and two-point estimators and the staged
+disconnection event call `_seed_clusters`, so one kernel answers every
 connectivity question.
 
 Every public top-level function and class of the package is referenced
@@ -290,7 +291,8 @@ def test_one_connectivity_kernel():
                                  "percolation._big_components"}
     assert {"percolation.is_connected", "percolation.classify_boxes",
             "percolation.crossing_probability",
-            "percolation.connectivity_function"} <= _callers("_seed_clusters")
+            "percolation.connectivity_function",
+            "homogenization.disconnected"} <= _callers("_seed_clusters")
 
 
 def test_the_walk_loop_steps_on_flat_indices_alone():

@@ -111,6 +111,11 @@ def test_disconnect_manifest_records_its_environment(tmp_path):
         _DISCONNECT["M"], _DISCONNECT["N"], 0.5, cfg["master_seed"])
     manifest = json.loads((tmp_path / "run1" / "manifest.json").read_text())
     assert manifest["environment_hash"] == inst.env.content_hash()
+    # every draw, direct or tilted, is settled by one stage of the event
+    settled = manifest["stats"]["disconnect"]
+    assert set(settled) == {"trapped", "slab", "full"}
+    assert sum(settled.values()) == (_DISCONNECT["direct_replicas"]
+                                     + _DISCONNECT["tilted_replicas"])
 
 
 def test_disconnect_exits_3_when_a_draw_fails(tmp_path, monkeypatch, capsys):
@@ -442,6 +447,20 @@ _SOLIDIFY_ESCAPES = "solidify: the hitting windows around A escape ball B"
     ("homogenize", {**_HOMOGENIZE, "reference": {"shape": "annulus", "sigma2": 1.0,
                                                  "R": 1.0}},
      "homogenize.reference: annulus needs R > r"),
+    ("homogenize", {**_HOMOGENIZE, "reference": {"shape": "ball", "sigma2": -1}},
+     "homogenize.reference: sigma2 must be > 0"),
+    ("homogenize", {**_HOMOGENIZE, "reference": {"shape": "ball", "sigma2": 1.0,
+                                                 "r": 0}},
+     "homogenize.reference: r must be > 0"),
+    ("homogenize", {**_HOMOGENIZE, "reference": {"shape": "annulus", "sigma2": 1.0,
+                                                 "r": -2, "R": -1}},
+     "homogenize.reference: R must be > 0"),
+    ("disconnect", {**_DISCONNECT, "delta_shell": -1},
+     "disconnect: delta_shell must be >= 0"),
+    ("disconnect", {**_DISCONNECT, "Delta": -0.05,
+                    "eta": {"kind": "radial_bump", "center": [0, 0, 0],
+                            "radius": 1.0}},
+     "disconnect+eta: Delta must be >= 0"),
 ])
 def test_out_of_range_value_exits_2(tmp_path, capsys, command, section, message):
     _assert_exits_2_before_any_output(tmp_path, capsys, command, section, message)

@@ -21,8 +21,10 @@ from gfflab.homogenization import (
     eta_from_spec,
 )
 from gfflab.lattice import blow_up, euclidean_ball, linf_box
+from gfflab.percolation import _seed_clusters
 from gfflab.potential import DirichletOperator, band_pays, harmonic_potential
 from gfflab.streams import stream
+from test_percolation import _bfs_clusters
 
 CONST = EnvironmentLaw.constant(1.0)
 RANDOM = EnvironmentLaw.iid_uniform(0.5, 1.0)
@@ -454,3 +456,111 @@ def test_disconnection_geometry_guards():
             direct_replicas=10, tilted_replicas=1,
             eta_spec={"kind": "radial_bump", "center": [0, 0, 0], "radius": 1.0},
             Delta=0.05)
+
+
+# -- the staged disconnection event ------------------------------------------
+
+
+def _one_call(inst, fields, alpha):
+    """The event as one labelling of the whole box, seeded by A_N and aimed
+    at S_N: the reduction the stages of `disconnected` must reproduce."""
+    mask = (fields >= alpha).T.reshape((fields.shape[1],) + inst._shape)
+    lo = inst.domain.bounding_box()[0]
+    seed, target = (tuple((X.coords - lo).T) for X in (inst.A_N, inst.S_N))
+    return ~_seed_clusters(mask, seed, target).any(axis=1)
+
+
+def _bfs_disconnected(inst, fields, alpha):
+    A, S = (set(map(tuple, X.coords.tolist())) for X in (inst.A_N, inst.S_N))
+    return np.array([
+        not any(c & A and c & S for c in _bfs_clusters(
+            map(tuple, inst.domain.coords[col >= alpha].tolist())))
+        for col in fields.T])
+
+
+def _staged(inst, fields, alpha, monkeypatch):
+    """`disconnected` with the replica count of each `_seed_clusters` call."""
+    reached = []
+    plain = homogenization._seed_clusters
+
+    def spy(mask, seed, target):
+        reached.append(mask.shape[0])
+        return plain(mask, seed, target)
+
+    monkeypatch.setattr(homogenization, "_seed_clusters", spy)
+    before = dict(inst.settled)
+    out = inst.disconnected(fields, alpha)
+    monkeypatch.setattr(homogenization, "_seed_clusters", plain)
+    settled = {k: v - before[k] for k, v in inst.settled.items()}
+    return out, reached, settled
+
+
+def test_staged_disconnection_matches_one_call_and_bfs(monkeypatch):
+    rng = np.random.default_rng(2406)
+    instances = [
+        # the crop [-4, 4]^3 inside the box [-6, 6]^3
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=1),
+        # A_N off center, x_0 in [1, 5]: the crop is clipped to the box along axis 0
+        _DisconnectionInstance(RANDOM, euclidean_ball([0.75, 0, 0], 0.5), M=1.5,
+                               N=4, lam=0.5, seed=1),
+        # small M N: the crop is the whole box [-3, 3]^3
+        _DisconnectionInstance(RANDOM, A_SHAPE, M=0.75, N=4, lam=0.5, seed=1),
+    ]
+    assert [stage[0] for stage in instances[2]._stages] == ["trapped", "slab", "full"]
+    assert instances[1]._stages[0][1] == (slice(5, 13),) + (slice(2, 11),) * 2
+    assert instances[2]._stages[0][1] == (slice(0, 7),) * 3
+    totals = dict.fromkeys(("trapped", "slab", "full"), 0)
+    for inst in instances:
+        for alpha in (-0.5, 0.3, 0.5, 0.8, 1.5):
+            fields = rng.standard_normal((len(inst.domain), 24))
+            out, reached, settled = _staged(inst, fields, alpha, monkeypatch)
+            assert np.array_equal(out, _one_call(inst, fields, alpha))
+            assert np.array_equal(out, _bfs_disconnected(inst, fields, alpha))
+            # each stage labels only the replicas the ones before left open
+            left = [24, 24 - settled["trapped"],
+                    24 - settled["trapped"] - settled["slab"]]
+            assert reached == [n for n in left if n > 0]
+            assert sum(settled.values()) == 24
+            for k, v in settled.items():
+                totals[k] += v
+    assert all(v > 0 for v in totals.values())
+
+
+def _open_sites(inst, sites):
+    """A field of +1 on A_N and `sites`, -1 elsewhere, as one column."""
+    col = -np.ones(len(inst.domain))
+    col[inst.domain.locate(inst.A_N.coords)] = 1.0
+    if sites:
+        col[inst.domain.locate(np.array(sites))] = 1.0
+    return col[:, None]
+
+
+@pytest.mark.parametrize("sites, disconnected, stage", [
+    # the crop is [-4, 4]^3 and the slab the layers -2..2 of axis 0, in the
+    # box [-6, 6]^3; A_N is the lattice ball of radius 2
+    ([(3, 0, 0)], True, "trapped"),  # one site short of the crop's edge
+    ([(3, 0, 0), (4, 0, 0)], True, "full"),  # on the edge, outside the slab
+    ([(0, y, 0) for y in range(3, 7)], False, "slab"),  # out to S_N in the slab
+    # out of the slab at x = 3, back into it at (2, 3, 0), on to S_N
+    ([(3, 0, 0), (3, 1, 0), (3, 2, 0), (3, 3, 0)]
+     + [(2, y, 0) for y in range(3, 7)], False, "full"),
+    # the same path with its last site closed
+    ([(3, 0, 0), (3, 1, 0), (3, 2, 0), (3, 3, 0)]
+     + [(2, y, 0) for y in range(3, 6)], True, "full"),
+    ("all", False, "slab"),
+    ("none", True, "trapped"),
+])
+def test_staged_disconnection_crafted_cases(monkeypatch, sites, disconnected, stage):
+    inst = _DisconnectionInstance(RANDOM, A_SHAPE, M=1.5, N=4, lam=0.5, seed=1)
+    if sites == "all":
+        fields = np.ones((len(inst.domain), 1))
+    elif sites == "none":
+        fields = -np.ones((len(inst.domain), 1))
+    else:
+        fields = _open_sites(inst, sites)
+    out, reached, settled = _staged(inst, fields, 0.0, monkeypatch)
+    assert out.tolist() == [disconnected]
+    assert out.tolist() == _one_call(inst, fields, 0.0).tolist()
+    assert out.tolist() == _bfs_disconnected(inst, fields, 0.0).tolist()
+    assert settled == {k: int(k == stage) for k in ("trapped", "slab", "full")}
+    assert reached == [1] * (1 + ["trapped", "slab", "full"].index(stage))
